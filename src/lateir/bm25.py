@@ -11,15 +11,16 @@ Japanese as well as space-delimited text.  Scoring uses
 with k1 = 0.9 and b = 0.4 by default.  The +1 inside the log keeps idf
 non-negative.  Repeated query tokens contribute once per occurrence.
 
-Index directory layout: ``postings.bin`` (magic LIBP), ``doclens.bin``
-(magic LIDL), ``meta.json`` (tokenizer scheme, parameters, counts).
+Index directory layout: ``postings.bin`` (array container, magic LIBP:
+sorted terms, int64 posting offsets, doc indexes, term frequencies),
+``doclens.bin`` (magic LIDL: doc ids, int64 lengths), ``meta.json``
+(tokenizer scheme, parameters, counts).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,13 +28,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DuplicateDocId, FormatError
+from .errors import ConfigError, DuplicateDocId
 from .ranking import RankedList, ranked_from_scores
-from .store import CorpusRecord
+from .store import CorpusRecord, check_format, check_offsets, pack_strings, read_arrays
+from .store import unpack_strings, write_arrays, write_json
 
 POSTINGS_MAGIC = b"LIBP"
 DOCLENS_MAGIC = b"LIDL"
-BM25_FORMAT_VERSION = 1
+BM25_FORMAT_VERSION = 2
 
 SCHEMES = ("char_bigram", "char_unigram", "whitespace")
 
@@ -158,22 +160,15 @@ def search_bm25(
 def save_bm25(index: BM25Index, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "postings.bin", "wb") as fh:
-        fh.write(struct.pack("<4sIQ", POSTINGS_MAGIC, BM25_FORMAT_VERSION, len(index.postings)))
-        for term in sorted(index.postings):
-            docs, tfs = index.postings[term]
-            term_bytes = term.encode("utf-8")
-            fh.write(struct.pack("<HI", len(term_bytes), len(docs)))
-            fh.write(term_bytes)
-            fh.write(np.ascontiguousarray(docs, dtype="<u4").tobytes())
-            fh.write(np.ascontiguousarray(tfs, dtype="<u4").tobytes())
-    with open(directory / "doclens.bin", "wb") as fh:
-        fh.write(struct.pack("<4sIQ", DOCLENS_MAGIC, BM25_FORMAT_VERSION, index.n_docs))
-        for doc_id, length in zip(index.doc_ids, index.doc_lengths):
-            id_bytes = doc_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(id_bytes)))
-            fh.write(id_bytes)
-            fh.write(struct.pack("<I", int(length)))
+    terms = sorted(index.postings)
+    docs, tfs = zip(*(index.postings[term] for term in terms)) if terms else ((), ())
+    counts = [0] + [d.size for d in docs]
+    postings = [*pack_strings(terms), np.cumsum(counts, dtype=np.int64),
+                np.concatenate([np.zeros(0, np.int64), *docs]),
+                np.concatenate([np.zeros(0, np.int64), *tfs])]
+    write_arrays(directory / "postings.bin", POSTINGS_MAGIC, BM25_FORMAT_VERSION, postings)
+    doclens = [*pack_strings(index.doc_ids), index.doc_lengths]
+    write_arrays(directory / "doclens.bin", DOCLENS_MAGIC, BM25_FORMAT_VERSION, doclens)
     meta = {
         "format_version": BM25_FORMAT_VERSION,
         "scheme": index.tokenizer.scheme,
@@ -184,52 +179,35 @@ def save_bm25(index: BM25Index, directory: str | Path) -> None:
         "term_count": len(index.postings),
         "avgdl": index.avgdl,
     }
-    (directory / "meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(directory / "meta.json", meta)
 
 
 def load_bm25(directory: str | Path) -> BM25Index:
     directory = Path(directory)
     meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
     tokenizer = Tokenizer(scheme=meta["scheme"], lowercase=meta["lowercase"])
+    n_docs, n_terms = meta["doc_count"], meta["term_count"]
 
     path = directory / "doclens.bin"
-    data = path.read_bytes()
-    magic, version, n_docs = struct.unpack_from("<4sIQ", data, 0)
-    if magic != DOCLENS_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    offset = 16
-    doc_ids: list[str] = []
-    lengths: list[int] = []
-    for _ in range(n_docs):
-        (id_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        doc_ids.append(data[offset : offset + id_len].decode("utf-8"))
-        offset += id_len
-        (length,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        lengths.append(length)
+    id_blob, id_offsets, doc_lengths = read_arrays(
+        path, DOCLENS_MAGIC, BM25_FORMAT_VERSION, ["u1", "<i8", "<i8"]
+    )
+    doc_ids = unpack_strings(id_blob, id_offsets, path)
+    shapes = (len(doc_ids), doc_lengths.shape)
+    check_format(shapes == (n_docs, (n_docs,)), path, f"shapes {shapes} disagree with meta.json")
 
     path = directory / "postings.bin"
-    data = path.read_bytes()
-    magic, version, n_terms = struct.unpack_from("<4sIQ", data, 0)
-    if magic != POSTINGS_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    offset = 16
-    postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for _ in range(n_terms):
-        term_len, df = struct.unpack_from("<HI", data, offset)
-        offset += 6
-        term = data[offset : offset + term_len].decode("utf-8")
-        offset += term_len
-        docs = np.frombuffer(data, dtype="<u4", count=df, offset=offset).astype(np.int64)
-        offset += df * 4
-        tfs = np.frombuffer(data, dtype="<u4", count=df, offset=offset).astype(np.int64)
-        offset += df * 4
-        postings[term] = (docs, tfs)
-
-    doc_lengths = np.array(lengths, dtype=np.int64)
+    term_blob, term_offsets, bounds, docs, tfs = read_arrays(
+        path, POSTINGS_MAGIC, BM25_FORMAT_VERSION, ["u1", "<i8", "<i8", "<i8", "<i8"]
+    )
+    terms = unpack_strings(term_blob, term_offsets, path)
+    shapes = (len(terms), bounds.shape, docs.shape, tfs.shape)
+    want = (n_terms, (n_terms + 1,), (docs.size,), (docs.size,))
+    check_format(shapes == want, path, f"shapes {shapes} disagree with meta.json {want}")
+    check_offsets(bounds, docs.size, path, "posting offsets")
+    in_range = docs.size == 0 or (docs.min() >= 0 and docs.max() < n_docs)
+    check_format(bool(in_range), path, f"posting doc index outside [0, {n_docs})")
+    cuts = bounds.tolist()
     return BM25Index(
         tokenizer=tokenizer,
         k1=float(meta["k1"]),
@@ -237,5 +215,5 @@ def load_bm25(directory: str | Path) -> BM25Index:
         doc_ids=doc_ids,
         doc_lengths=doc_lengths,
         avgdl=float(meta["avgdl"]),
-        postings=postings,
+        postings={t: (docs[lo:hi], tfs[lo:hi]) for t, lo, hi in zip(terms, cuts, cuts[1:])},
     )

@@ -19,18 +19,18 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import __version__
-from .bm25 import Tokenizer, build_bm25, load_bm25, save_bm25, search_bm25
+from .bm25 import BM25_FORMAT_VERSION, Tokenizer, build_bm25, load_bm25, save_bm25, search_bm25
 from .compressed import (
     DEFAULT_CANDIDATE_CAP,
     DEFAULT_ITERATIONS,
     DEFAULT_NPROBE,
+    INDEX_FORMAT_VERSION,
     compress,
     default_centroid_count,
     load_compressed,
@@ -60,9 +60,12 @@ from .mining import (
 )
 from .ranking import run_lists_from_trec, write_trec_run
 from .scoring import maxsim
-from .store import ingest_embeddings, load_store, read_corpus_jsonl, save_store
+from .store import EMBEDDING_FORMAT_VERSION
+from .store import ingest_embeddings, load_store, read_corpus_jsonl, save_store, write_json
 
-FORMAT_VERSIONS = {"embedding": 1, "index": 1, "bm25": 1}
+FORMAT_VERSIONS = {
+    "embedding": EMBEDDING_FORMAT_VERSION, "index": INDEX_FORMAT_VERSION, "bm25": BM25_FORMAT_VERSION
+}
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ def _write_manifest(out: Path, command: str, inputs: dict[str, Path], params: di
         "parameters": params,
     }
     target = out / "run-manifest.json" if out.is_dir() else Path(str(out) + ".manifest.json")
-    target.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(target, manifest)
     return target
 
 
@@ -680,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     version = f"lateir {__version__} (formats: " + ", ".join(
         f"{k}={v}" for k, v in FORMAT_VERSIONS.items()
-    ) + ")"
+    ) + "; indexes: array container)"
     parser.add_argument("--version", action="version", version=version)
     subparsers = parser.add_subparsers(dest="command", required=True)
 

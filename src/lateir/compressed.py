@@ -14,18 +14,17 @@ candidate set by an approximate score computed over centroids only, (3)
 decompress the survivors and rerank by exact maxsim over the reconstructed,
 re-normalized vectors.
 
-Index directory layout::
+The inverted lists hold each document once per centroid it has a token
+on, in ascending order; they are derived from the centroid ids at build and
+load time, not stored.
 
-    codebook.bin   magic LICB | u32 version | u32 K | u32 dim | K*dim float32
-    residuals.bin  magic LIRC | u32 version | u32 dim
-                   | dim*3 float32 bucket cutoffs | dim*4 float32 bucket values
-                   | u64 doc count
-                   | per doc: u16 id len | id | u16 token count
-                     | token_count u32 centroid ids
-                     | token_count * ceil(dim/4) packed code bytes
-    ivf.bin        magic LIVF | u32 version | u32 K | u64 token count
-                   | per centroid: u32 length | length u32 delta-encoded doc
-                     indexes | length u16 token positions
+Index directory layout (array containers, see ``store.write_arrays``)::
+
+    codebook.bin   magic LICB: (K, dim) float32 centroids
+    residuals.bin  magic LIRC: (dim, 3) float32 bucket cutoffs | (dim, 4)
+                   float32 bucket values | doc ids | (n_docs + 1,) int64 token
+                   offsets | uint32 centroid id and ceil(dim/4) packed code
+                   bytes per token
     meta.json      parameters, seed, counts
 """
 
@@ -33,20 +32,19 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BadCentroidId, DimMismatch, FormatError, InsufficientTokens
+from .errors import BadCentroidId, DimMismatch, InsufficientTokens
 from .ranking import RankedList, ranked_from_scores
-from .store import EmbeddingStore
+from .store import EmbeddingStore, check_format, check_offsets, pack_strings, read_arrays
+from .store import stack_store, unpack_strings, write_arrays, write_json
 
 CODEBOOK_MAGIC = b"LICB"
 RESIDUAL_MAGIC = b"LIRC"
-IVF_MAGIC = b"LIVF"
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 DEFAULT_NPROBE = 4
 DEFAULT_CANDIDATE_CAP = 8192
@@ -95,8 +93,7 @@ class CompressedIndex:
     centroid_ids: np.ndarray  # (total_tokens,) uint32
     packed_codes: np.ndarray  # (total_tokens, ceil(dim/4)) uint8
     ivf_offsets: np.ndarray  # (K + 1,) int64
-    ivf_docs: np.ndarray  # (total_tokens,) int64, grouped by centroid
-    ivf_positions: np.ndarray  # (total_tokens,) uint16
+    ivf_docs: np.ndarray  # int64 doc indexes grouped by centroid, ascending in each
     params: dict
 
     @property
@@ -126,15 +123,6 @@ def _unit_rows_f32(m: np.ndarray) -> np.ndarray:
     return (m / norms[:, None].astype(np.float32)).astype(np.float32)
 
 
-def _stack_store(store: EmbeddingStore) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    doc_ids = store.doc_ids
-    matrices = [store.entries[d].astype(np.float32) for d in doc_ids]
-    counts = np.array([m.shape[0] for m in matrices], dtype=np.int64)
-    offsets = np.zeros(len(doc_ids) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return np.vstack(matrices), offsets, doc_ids
-
-
 def _assign(tokens: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid (max dot) per token; returns (assignments, best sims)."""
     n = tokens.shape[0]
@@ -158,7 +146,7 @@ def train_codebook(
     """Spherical k-means over every token in the store; deterministic given seed."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    tokens, _, _ = _stack_store(store)
+    tokens, _, _ = stack_store(store, np.float32)
     total = tokens.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -223,7 +211,7 @@ def unpack_codes(packed: np.ndarray, dim: int) -> np.ndarray:
 
 def compress(store: EmbeddingStore, codebook: Codebook) -> CompressedIndex:
     """Quantize every token of the store against the codebook."""
-    tokens, offsets, doc_ids = _stack_store(store)
+    tokens, offsets, doc_ids = stack_store(store, np.float32)
     if tokens.shape[1] != codebook.dim:
         raise DimMismatch(
             f"store dim {tokens.shape[1]} != codebook dim {codebook.dim}"
@@ -243,24 +231,18 @@ def compress(store: EmbeddingStore, codebook: Codebook) -> CompressedIndex:
 
     codes = _quantize(residuals, cutoffs)
     packed = pack_codes(codes)
-
-    # inverted lists: tokens grouped by centroid, each list in (doc, position) order
-    token_doc = np.repeat(np.arange(len(doc_ids), dtype=np.int64), np.diff(offsets))
-    token_pos = (np.arange(total, dtype=np.int64) - offsets[token_doc]).astype(np.uint16)
-    order = np.argsort(assign, kind="stable")
-    ivf_offsets = np.zeros(codebook.k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(assign, minlength=codebook.k), out=ivf_offsets[1:])
+    centroid_ids = assign.astype(np.uint32)
+    ivf_offsets, ivf_docs = _inverted_lists(centroid_ids, offsets, codebook.k)
 
     return CompressedIndex(
         codebook=codebook,
         codec=codec,
         doc_ids=doc_ids,
         offsets=offsets,
-        centroid_ids=assign.astype(np.uint32),
+        centroid_ids=centroid_ids,
         packed_codes=packed,
         ivf_offsets=ivf_offsets,
-        ivf_docs=token_doc[order],
-        ivf_positions=token_pos[order],
+        ivf_docs=ivf_docs,
         params={
             "k_centroids": codebook.k,
             "dim": codebook.dim,
@@ -269,6 +251,18 @@ def compress(store: EmbeddingStore, codebook: Codebook) -> CompressedIndex:
             "bucket_sample_limit": BUCKET_SAMPLE_LIMIT,
         },
     )
+
+
+def _inverted_lists(centroid_ids: np.ndarray, offsets: np.ndarray, k: int):
+    """(ivf_offsets, ivf_docs): each document once per centroid it has a token on."""
+    token_doc = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
+    order = np.argsort(centroid_ids, kind="stable")
+    cids, docs = centroid_ids[order], token_doc[order]
+    # the stable sort keeps token order within a list, so docs ascend and repeats are adjacent
+    keep = np.ones(cids.size, dtype=bool)
+    keep[1:] = (cids[1:] != cids[:-1]) | (docs[1:] != docs[:-1])
+    counts = np.bincount(cids[keep], minlength=k)
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64), docs[keep]
 
 
 def _reconstruct(
@@ -364,36 +358,11 @@ def search_compressed(
 def save_compressed(index: CompressedIndex, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    k, dim = index.codebook.k, index.codebook.dim
-
-    with open(directory / "codebook.bin", "wb") as fh:
-        fh.write(struct.pack("<4sIII", CODEBOOK_MAGIC, INDEX_FORMAT_VERSION, k, dim))
-        fh.write(np.ascontiguousarray(index.codebook.centroids, dtype="<f4").tobytes())
-
-    with open(directory / "residuals.bin", "wb") as fh:
-        fh.write(struct.pack("<4sII", RESIDUAL_MAGIC, INDEX_FORMAT_VERSION, dim))
-        fh.write(np.ascontiguousarray(index.codec.cutoffs, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(index.codec.values, dtype="<f4").tobytes())
-        fh.write(struct.pack("<Q", index.n_docs))
-        for i, doc_id in enumerate(index.doc_ids):
-            lo, hi = index.offsets[i], index.offsets[i + 1]
-            id_bytes = doc_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(id_bytes)))
-            fh.write(id_bytes)
-            fh.write(struct.pack("<H", int(hi - lo)))
-            fh.write(np.ascontiguousarray(index.centroid_ids[lo:hi], dtype="<u4").tobytes())
-            fh.write(np.ascontiguousarray(index.packed_codes[lo:hi]).tobytes())
-
-    with open(directory / "ivf.bin", "wb") as fh:
-        fh.write(struct.pack("<4sIIQ", IVF_MAGIC, INDEX_FORMAT_VERSION, k, index.total_tokens))
-        for c in range(k):
-            lo, hi = index.ivf_offsets[c], index.ivf_offsets[c + 1]
-            docs = index.ivf_docs[lo:hi]
-            deltas = np.diff(docs, prepend=np.int64(0)) if docs.size else docs
-            fh.write(struct.pack("<I", int(hi - lo)))
-            fh.write(np.ascontiguousarray(deltas, dtype="<u4").tobytes())
-            fh.write(np.ascontiguousarray(index.ivf_positions[lo:hi], dtype="<u2").tobytes())
-
+    centroids = [index.codebook.centroids]
+    write_arrays(directory / "codebook.bin", CODEBOOK_MAGIC, INDEX_FORMAT_VERSION, centroids)
+    arrays = [index.codec.cutoffs, index.codec.values, *pack_strings(index.doc_ids),
+              index.offsets, index.centroid_ids, index.packed_codes]
+    write_arrays(directory / "residuals.bin", RESIDUAL_MAGIC, INDEX_FORMAT_VERSION, arrays)
     meta = dict(index.params)
     meta.update(
         {
@@ -403,100 +372,42 @@ def save_compressed(index: CompressedIndex, directory: str | Path) -> None:
             "token_count": index.total_tokens,
         }
     )
-    (directory / "meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _expect(cond: bool, path: Path, message: str) -> None:
-    if not cond:
-        raise FormatError(f"{path}: {message}")
+    write_json(directory / "meta.json", meta)
 
 
 def load_compressed(directory: str | Path) -> CompressedIndex:
+    """Load an index, checking every array against meta.json before search uses it."""
     directory = Path(directory)
     meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+    k, dim, n_docs, total = (meta[key] for key in ("k_centroids", "dim", "doc_count", "token_count"))
 
     path = directory / "codebook.bin"
-    data = path.read_bytes()
-    magic, version, k, dim = struct.unpack_from("<4sIII", data, 0)
-    _expect(magic == CODEBOOK_MAGIC, path, f"bad magic {magic!r}")
-    _expect(version == INDEX_FORMAT_VERSION, path, f"unsupported version {version}")
-    centroids = np.frombuffer(data, dtype="<f4", count=k * dim, offset=16).reshape(k, dim).copy()
-    codebook = Codebook(centroids=centroids, seed=int(meta["seed"]))
+    (centroids,) = read_arrays(path, CODEBOOK_MAGIC, INDEX_FORMAT_VERSION, ["<f4"])
+    check_format(centroids.shape == (k, dim), path, f"shape {centroids.shape} disagrees with meta")
 
     path = directory / "residuals.bin"
-    data = path.read_bytes()
-    magic, version, rdim = struct.unpack_from("<4sII", data, 0)
-    _expect(magic == RESIDUAL_MAGIC, path, f"bad magic {magic!r}")
-    _expect(rdim == dim, path, f"dim {rdim} disagrees with codebook dim {dim}")
-    offset = 12
-    cutoffs = np.frombuffer(data, dtype="<f4", count=dim * 3, offset=offset).reshape(dim, 3).copy()
-    offset += dim * 3 * 4
-    values = np.frombuffer(data, dtype="<f4", count=dim * 4, offset=offset).reshape(dim, 4).copy()
-    offset += dim * 4 * 4
-    (n_docs,) = struct.unpack_from("<Q", data, offset)
-    offset += 8
-    packed_width = (dim + 3) // 4
-    doc_ids: list[str] = []
-    counts: list[int] = []
-    cid_parts: list[np.ndarray] = []
-    code_parts: list[np.ndarray] = []
-    for _ in range(n_docs):
-        (id_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        doc_ids.append(data[offset : offset + id_len].decode("utf-8"))
-        offset += id_len
-        (tcount,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        cid_parts.append(np.frombuffer(data, dtype="<u4", count=tcount, offset=offset))
-        offset += tcount * 4
-        code_parts.append(
-            np.frombuffer(data, dtype=np.uint8, count=tcount * packed_width, offset=offset)
-        )
-        offset += tcount * packed_width
-        counts.append(tcount)
-    _expect(offset == len(data), path, "trailing bytes")
-    offsets = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(np.asarray(counts, dtype=np.int64), out=offsets[1:])
-    centroid_ids = np.concatenate(cid_parts).astype(np.uint32) if cid_parts else np.zeros(0, np.uint32)
-    packed_codes = (
-        np.concatenate(code_parts).reshape(-1, packed_width)
-        if code_parts
-        else np.zeros((0, packed_width), np.uint8)
+    dtypes = ["<f4", "<f4", "u1", "<i8", "<i8", "<u4", "u1"]
+    cutoffs, values, id_blob, id_offsets, offsets, centroid_ids, packed_codes = read_arrays(
+        path, RESIDUAL_MAGIC, INDEX_FORMAT_VERSION, dtypes
     )
-
-    path = directory / "ivf.bin"
-    data = path.read_bytes()
-    magic, version, ik, total = struct.unpack_from("<4sIIQ", data, 0)
-    _expect(magic == IVF_MAGIC, path, f"bad magic {magic!r}")
-    _expect(ik == k, path, f"K {ik} disagrees with codebook K {k}")
-    offset = 20
-    ivf_offsets = np.zeros(k + 1, dtype=np.int64)
-    doc_lists: list[np.ndarray] = []
-    pos_lists: list[np.ndarray] = []
-    for c in range(k):
-        (length,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        deltas = np.frombuffer(data, dtype="<u4", count=length, offset=offset).astype(np.int64)
-        offset += length * 4
-        positions = np.frombuffer(data, dtype="<u2", count=length, offset=offset)
-        offset += length * 2
-        doc_lists.append(np.cumsum(deltas) if length else deltas)
-        pos_lists.append(positions)
-        ivf_offsets[c + 1] = ivf_offsets[c] + length
-    _expect(offset == len(data), path, "trailing bytes")
-    _expect(int(ivf_offsets[-1]) == total, path, "token count mismatch")
+    doc_ids = unpack_strings(id_blob, id_offsets, path)
+    shapes = (cutoffs.shape, values.shape, len(doc_ids), offsets.shape, centroid_ids.shape,
+              packed_codes.shape)
+    want = ((dim, 3), (dim, 4), n_docs, (n_docs + 1,), (total,), (total, (dim + 3) // 4))
+    check_format(shapes == want, path, f"shapes {shapes} disagree with meta.json {want}")
+    check_offsets(offsets, total, path, "token offsets", min_step=1)
+    if total and int(centroid_ids.max()) >= k:
+        raise BadCentroidId(f"{path}: centroid id {int(centroid_ids.max())} not in [0, {k})")
+    ivf_offsets, ivf_docs = _inverted_lists(centroid_ids, offsets, k)
 
     return CompressedIndex(
-        codebook=codebook,
+        codebook=Codebook(centroids=centroids, seed=int(meta["seed"])),
         codec=ResidualCodec(cutoffs=cutoffs, values=values),
         doc_ids=doc_ids,
         offsets=offsets,
         centroid_ids=centroid_ids,
         packed_codes=packed_codes,
         ivf_offsets=ivf_offsets,
-        ivf_docs=np.concatenate(doc_lists) if doc_lists else np.zeros(0, np.int64),
-        ivf_positions=np.concatenate(pos_lists).astype(np.uint16) if pos_lists else np.zeros(0, np.uint16),
+        ivf_docs=ivf_docs,
         params={key: meta[key] for key in meta if key not in ("doc_count", "token_count", "mode")},
     )

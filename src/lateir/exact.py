@@ -4,6 +4,9 @@ Documents are stored as one concatenated token matrix (in float32 or
 float16) plus per-document offsets.  A search scores every document:
 similarities are computed in float64 regardless of storage precision, so
 16-bit storage only affects the vectors, never the arithmetic.
+
+Index directory layout: ``index-meta.json`` and ``tokens.bin``, an array
+container (magic LIEX) of doc ids, int64 token offsets and the token rows.
 """
 
 from __future__ import annotations
@@ -14,16 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyStore, FormatError
+from .compressed import INDEX_FORMAT_VERSION
+from .errors import DimMismatch, EmptyStore
 from .ranking import RankedList, ranked_from_scores
-from .store import (
-    PRECISION_DTYPES,
-    EmbeddingStore,
-    read_embedding_file,
-    write_embedding_file,
-)
+from .store import PRECISION_DTYPES, EmbeddingStore, check_format, check_offsets, stack_store
+from .store import pack_strings, read_arrays, unpack_strings, write_arrays, write_json
 
 EXACT_META_NAME = "index-meta.json"
+EXACT_MAGIC = b"LIEX"
 
 
 @dataclass
@@ -44,21 +45,12 @@ class ExactIndex:
             self._tokens64 = self.tokens.astype(np.float64)
         return self._tokens64
 
-    def doc_matrix(self, i: int) -> np.ndarray:
-        return self.tokens[self.offsets[i] : self.offsets[i + 1]]
-
 
 def build_exact(store: EmbeddingStore, precision: str = "float16") -> ExactIndex:
     """Build a flat index covering every document once, cast to `precision`."""
     if len(store) == 0:
         raise EmptyStore("cannot index an empty store")
-    dtype = PRECISION_DTYPES[precision]
-    doc_ids = store.doc_ids
-    matrices = [store.entries[d].astype(dtype) for d in doc_ids]
-    counts = np.array([m.shape[0] for m in matrices], dtype=np.int64)
-    offsets = np.zeros(len(doc_ids) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    tokens = np.vstack(matrices)
+    tokens, offsets, doc_ids = stack_store(store, PRECISION_DTYPES[precision])
     return ExactIndex(
         dim=store.dim, precision=precision, doc_ids=doc_ids, tokens=tokens, offsets=offsets
     )
@@ -82,30 +74,33 @@ def search_exact(
 def save_exact(index: ExactIndex, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = ((d, index.doc_matrix(i)) for i, d in enumerate(index.doc_ids))
-    write_embedding_file(directory / "embeddings.bin", index.dim, index.precision, entries)
+    arrays = [*pack_strings(index.doc_ids), index.offsets, index.tokens]
+    write_arrays(directory / "tokens.bin", EXACT_MAGIC, INDEX_FORMAT_VERSION, arrays)
     meta = {
         "mode": "exact",
         "dim": index.dim,
         "precision": index.precision,
         "doc_count": index.n_docs,
         "token_count": int(index.offsets[-1]),
-        "format_version": 1,
+        "format_version": INDEX_FORMAT_VERSION,
     }
-    (directory / EXACT_META_NAME).write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(directory / EXACT_META_NAME, meta)
 
 
 def load_exact(directory: str | Path) -> ExactIndex:
     directory = Path(directory)
     meta = json.loads((directory / EXACT_META_NAME).read_text(encoding="utf-8"))
-    if meta.get("mode") != "exact":
-        raise FormatError(f"{directory}: not an exact index")
-    dim, precision, raw = read_embedding_file(directory / "embeddings.bin")
-    doc_ids = [doc_id for doc_id, _ in raw]
-    counts = np.array([m.shape[0] for _, m in raw], dtype=np.int64)
-    offsets = np.zeros(len(raw) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    tokens = np.vstack([m for _, m in raw])
-    return ExactIndex(dim=dim, precision=precision, doc_ids=doc_ids, tokens=tokens, offsets=offsets)
+    check_format(meta.get("mode") == "exact", directory, "not an exact index")
+    check_format(meta.get("format_version") == INDEX_FORMAT_VERSION, directory, "rebuild the index")
+    path, precision, n_docs = directory / "tokens.bin", meta["precision"], meta["doc_count"]
+    check_format(precision in PRECISION_DTYPES, path, f"unknown precision {precision!r}")
+    dtypes = ["u1", "<i8", "<i8", PRECISION_DTYPES[precision]]
+    id_blob, id_offsets, offsets, tokens = read_arrays(path, EXACT_MAGIC, INDEX_FORMAT_VERSION, dtypes)
+    doc_ids = unpack_strings(id_blob, id_offsets, path)
+    shapes = (len(doc_ids), offsets.shape, tokens.shape)
+    want = (n_docs, (n_docs + 1,), (meta["token_count"], meta["dim"]))
+    check_format(shapes == want, path, f"shapes {shapes} disagree with {EXACT_META_NAME} {want}")
+    check_offsets(offsets, len(tokens), path, "token offsets", min_step=1)
+    return ExactIndex(
+        dim=meta["dim"], precision=precision, doc_ids=doc_ids, tokens=tokens, offsets=offsets
+    )

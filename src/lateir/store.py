@@ -13,18 +13,24 @@ Embedding file format (little-endian throughout)::
 A persisted store is a directory holding ``embeddings.bin`` in that format
 plus ``manifest.json``.
 
+Every index file is an array container: magic (4 bytes) | u32 format
+version | u32 array count, then one ``.npy`` record per array.
+Strings are stored as a UTF-8 blob (uint8) plus int64 byte offsets.
+
 Corpus files are JSONL with one ``{"id": ..., "text": ...}`` object per line.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import tokenize
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,6 +39,7 @@ from .errors import DuplicateDocId, FormatError, LengthError, ParseError, ZeroVe
 EMBEDDING_MAGIC = b"LIEM"
 EMBEDDING_FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIIBQ")
+_ARRAYS_HEADER = struct.Struct("<4sII")
 
 MAX_DOC_TOKENS = 512
 MAX_QUERY_TOKENS = 64
@@ -201,6 +208,93 @@ def read_embedding_file(path: str | Path) -> tuple[int, str, list[tuple[str, np.
     return dim, precision, entries
 
 
+def write_json(path: str | Path, obj) -> None:
+    """Pretty-printed, key-sorted JSON plus a newline, so equal objects give equal bytes."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def check_format(cond: bool, path: str | Path, message: str) -> None:
+    """Raise FormatError naming path unless cond holds."""
+    if not cond:
+        raise FormatError(f"{path}: {message}")
+
+
+def check_offsets(offsets: np.ndarray, end: int, path: str | Path, what: str, min_step: int = 0):
+    """FormatError unless offsets is 1-d and runs from 0 to end in steps of >= min_step."""
+    ok = offsets.ndim == 1 and offsets.size > 0 and offsets[0] == 0 and offsets[-1] == end
+    check_format(ok and bool(np.all(np.diff(offsets) >= min_step)), path, f"bad {what}")
+
+
+def write_arrays(path: str | Path, magic: bytes, version: int, arrays: Sequence[np.ndarray]):
+    """Write an array container to a temporary sibling, then rename it over path,
+    so a write that fails part way leaves any previous file intact."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_ARRAYS_HEADER.pack(magic, version, len(arrays)))
+            for array in arrays:
+                np.lib.format.write_array(fh, np.ascontiguousarray(array), allow_pickle=False)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_arrays(path: str | Path, magic: bytes, version: int, dtypes: Sequence) -> list[np.ndarray]:
+    """Read an array container holding one array per entry of dtypes.  Each
+    record's dtype, order and size are checked before its data is read."""
+    size = os.stat(path).st_size
+    arrays = []
+    with open(path, "rb") as fh:
+        head = fh.read(_ARRAYS_HEADER.size)
+        check_format(len(head) == _ARRAYS_HEADER.size, path, "truncated header")
+        file_magic, file_version, count = _ARRAYS_HEADER.unpack(head)
+        check_format(file_magic == magic, path, f"bad magic {file_magic!r}")
+        check_format(file_version == version, path, f"version {file_version}; rebuild the index")
+        check_format(count == len(dtypes), path, f"{count} arrays, expected {len(dtypes)}")
+        for i, dtype in enumerate(map(np.dtype, dtypes)):
+            try:  # numpy raises any of these for a malformed .npy header
+                major, _ = np.lib.format.read_magic(fh)
+                check_format(major in (1, 2), path, f"array {i}: .npy version {major}")
+                read_header = getattr(np.lib.format, f"read_array_header_{major}_0")
+                shape, fortran_order, file_dtype = read_header(fh)
+                n = math.prod(shape)
+                check_format(
+                    file_dtype == dtype and not fortran_order and min(shape, default=0) >= 0
+                    and n * dtype.itemsize <= size - fh.tell(),
+                    path, f"array {i}: {file_dtype} {shape} in {size - fh.tell()} bytes",
+                )
+                arrays.append(np.fromfile(fh, dtype=dtype, count=n).reshape(shape))
+            except (ValueError, SyntaxError, tokenize.TokenError) as exc:
+                raise FormatError(f"{path}: array {i}: {exc}") from exc
+        check_format(fh.tell() == size, path, "trailing bytes")
+    return arrays
+
+
+def pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Strings as a UTF-8 blob (uint8) plus n + 1 int64 byte offsets."""
+    encoded = [s.encode("utf-8") for s in strings]
+    offsets = np.cumsum([0] + [len(b) for b in encoded], dtype=np.int64)
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+
+
+def unpack_strings(blob: np.ndarray, offsets: np.ndarray, path: str | Path) -> list[str]:
+    """Inverse of pack_strings; FormatError for bad offsets or bad UTF-8."""
+    check_offsets(offsets, blob.size, path, "string offsets")
+    raw, bounds = blob.tobytes(), offsets.tolist()
+    try:
+        return [raw[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def stack_store(store: EmbeddingStore, dtype) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """(all token rows cast to dtype, int64 token offsets, doc ids) in ingestion order."""
+    matrices = list(store.entries.values())
+    offsets = np.cumsum([0] + [m.shape[0] for m in matrices], dtype=np.int64)
+    return np.vstack(matrices, dtype=dtype), offsets, store.doc_ids
+
+
 def _created_stamp(path: str | Path) -> str:
     # Derived from the source file's mtime rather than the wall clock so
     # that re-running ingestion on identical inputs is byte-reproducible.
@@ -260,9 +354,7 @@ def save_store(store: EmbeddingStore, directory: str | Path) -> None:
         "precision": store.precision,
         "kind": store.kind,
     }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(directory / "manifest.json", manifest)
 
 
 def load_store(directory: str | Path) -> EmbeddingStore:

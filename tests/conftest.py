@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import struct
+from pathlib import Path
+from typing import Callable
+
 import numpy as np
 import pytest
 
-from lateir.store import PRECISION_DTYPES, EmbeddingStore, StoreManifest, normalize_matrix
+from lateir.store import (
+    PRECISION_DTYPES,
+    EmbeddingStore,
+    StoreManifest,
+    normalize_matrix,
+    write_arrays,
+)
 
 
 def unit_rows(rng: np.random.Generator, rows: int, dim: int) -> np.ndarray:
@@ -114,6 +124,30 @@ def family_queries(
             rng, identities[target], tokens_per_query, radius
         )
     return out
+
+
+def read_container(path: Path) -> tuple[bytes, int, list[np.ndarray]]:
+    """(magic, version, arrays) of an array container, read without any checks."""
+    with open(path, "rb") as fh:
+        magic, version, count = struct.unpack("<4sII", fh.read(12))
+        return magic, version, [np.lib.format.read_array(fh) for _ in range(count)]
+
+
+def set_item(i: int, value) -> Callable[[np.ndarray], np.ndarray]:
+    """An edit for edit_container that sets array[i] = value."""
+
+    def edit(a: np.ndarray) -> np.ndarray:
+        a[i] = value
+        return a
+
+    return edit
+
+
+def edit_container(path: Path, index: int, edit: Callable[[np.ndarray], np.ndarray]) -> None:
+    """Replace array `index` of an array container by edit(array)."""
+    magic, version, arrays = read_container(path)
+    arrays[index] = edit(arrays[index].copy())
+    write_arrays(path, magic, version, arrays)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Tokenization and BM25 ranking against a naive full-scan reference."""
 
 import math
+import struct
 
 import pytest
 
@@ -12,8 +13,10 @@ from lateir.bm25 import (
     search_bm25,
     tokenize,
 )
-from lateir.errors import ConfigError, DuplicateDocId
+from lateir.errors import ConfigError, DuplicateDocId, FormatError
 from lateir.store import CorpusRecord
+
+from conftest import edit_container, set_item
 
 
 def naive_bm25(corpus, t, query, k1, b):
@@ -238,3 +241,35 @@ class TestPersistence:
             assert (tmp_path / "one" / filename).read_bytes() == (
                 tmp_path / "two" / filename
             ).read_bytes()
+
+
+class TestLoadChecks:
+    @pytest.fixture
+    def saved(self, tmp_path, rng):
+        save_bm25(build_bm25(random_corpus(rng, 10), Tokenizer("char_bigram")), tmp_path / "bm25")
+        return tmp_path / "bm25"
+
+    def _expect_format_error(self, directory, match=None):
+        with pytest.raises(FormatError, match=match):
+            load_bm25(directory)
+
+    @pytest.mark.parametrize("name", ["postings.bin", "doclens.bin"])
+    def test_file_version_checked(self, saved, name):
+        data = bytearray((saved / name).read_bytes())
+        data[4:8] = struct.pack("<I", 1)
+        (saved / name).write_bytes(bytes(data))
+        self._expect_format_error(saved, "rebuild the index")
+
+    # postings.bin arrays: 0-1 terms, 2 posting offsets, 3 doc indexes, 4 tfs
+    @pytest.mark.parametrize(
+        "edit", [lambda a: a[::-1], lambda a: a - 1, lambda a: a[:-1]],
+        ids=["reversed", "shifted", "short"],
+    )
+    def test_posting_offsets_checked(self, saved, edit):
+        edit_container(saved / "postings.bin", 2, edit)
+        self._expect_format_error(saved)
+
+    @pytest.mark.parametrize("value", [10, -1], ids=["doc-count", "negative"])
+    def test_doc_index_out_of_range(self, saved, value):
+        edit_container(saved / "postings.bin", 3, set_item(0, value))
+        self._expect_format_error(saved, "doc index")

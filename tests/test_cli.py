@@ -406,4 +406,6 @@ class TestCliContract:
         with pytest.raises(SystemExit) as info:
             main(["--version"])
         assert info.value.code == 0
-        assert "lateir" in capsys.readouterr().out
+        out = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal width
+        assert "lateir" in out
+        assert "index=2" in out and "bm25=2" in out and "array container" in out

@@ -1,5 +1,8 @@
 """Compressed index: k-means, residual codec, inverted lists, staged search."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,13 +20,15 @@ from lateir.compressed import (
     train_codebook,
     unpack_codes,
 )
-from lateir.errors import BadCentroidId, DimMismatch, InsufficientTokens
+from lateir.errors import BadCentroidId, DimMismatch, FormatError, InsufficientTokens
 from lateir.exact import build_exact, search_exact
 from lateir.scoring import maxsim
 from conftest import (
+    edit_container,
     family_corpus,
     family_queries,
     random_store,
+    set_item,
     store_from_matrices,
     unit_rows,
 )
@@ -113,28 +118,26 @@ class TestCompress:
         store = random_store(rng, 25, 8, min_tokens=1, max_tokens=9)
         codebook = train_codebook(store, k=8, iterations=3, seed=1)
         index = compress(store, codebook)
-        pairs = set()
-        for c in range(codebook.k):
-            lo, hi = index.ivf_offsets[c], index.ivf_offsets[c + 1]
-            for doc, pos in zip(index.ivf_docs[lo:hi], index.ivf_positions[lo:hi]):
-                pairs.add((int(doc), int(pos)))
-        assert int(index.ivf_offsets[-1]) == store.total_tokens
-        expected = {
-            (i, p)
-            for i, m in enumerate(store.entries.values())
-            for p in range(m.shape[0])
-        }
-        assert pairs == expected
+        pairs = [
+            (c, int(doc))
+            for c in range(codebook.k)
+            for doc in index.ivf_docs[index.ivf_offsets[c] : index.ivf_offsets[c + 1]]
+        ]
+        assert len(pairs) == len(set(pairs))
+        token_doc = np.repeat(np.arange(index.n_docs), index.token_counts())
+        expected = set(zip(index.centroid_ids.tolist(), token_doc.tolist()))
+        assert set(pairs) == expected
+        assert int(index.ivf_offsets[-1]) == len(expected)
 
     def test_ivf_membership_is_nearest_centroid(self, rng):
         store = random_store(rng, 10, 8, min_tokens=2, max_tokens=6)
         codebook = train_codebook(store, k=4, iterations=3, seed=0)
         index = compress(store, codebook)
-        for c in range(codebook.k):
-            lo, hi = index.ivf_offsets[c], index.ivf_offsets[c + 1]
-            for doc, pos in zip(index.ivf_docs[lo:hi], index.ivf_positions[lo:hi]):
-                t = int(index.offsets[doc]) + int(pos)
-                assert int(index.centroid_ids[t]) == c
+        for doc in range(index.n_docs):
+            for t in range(index.offsets[doc], index.offsets[doc + 1]):
+                c = int(index.centroid_ids[t])
+                lo, hi = index.ivf_offsets[c], index.ivf_offsets[c + 1]
+                assert doc in index.ivf_docs[lo:hi]
 
     def test_token_equal_to_centroid(self, rng):
         # residual is zero, so reconstruction differs from the centroid only
@@ -349,7 +352,6 @@ class TestPersistence:
         np.testing.assert_array_equal(back.packed_codes, index.packed_codes)
         np.testing.assert_array_equal(back.ivf_offsets, index.ivf_offsets)
         np.testing.assert_array_equal(back.ivf_docs, index.ivf_docs)
-        np.testing.assert_array_equal(back.ivf_positions, index.ivf_positions)
         q = unit_rows(rng, 3, 12)
         assert (
             search_compressed(back, q, k=10).entries
@@ -361,7 +363,67 @@ class TestPersistence:
         for name in ("one", "two"):
             codebook = train_codebook(store, k=8, iterations=3, seed=5)
             save_compressed(compress(store, codebook), tmp_path / name)
-        for filename in ("codebook.bin", "residuals.bin", "ivf.bin", "meta.json"):
+        for filename in ("codebook.bin", "residuals.bin", "meta.json"):
             assert (tmp_path / "one" / filename).read_bytes() == (
                 tmp_path / "two" / filename
             ).read_bytes(), filename
+
+
+class TestLoadChecks:
+    """load_compressed rejects arrays that disagree with meta.json or the codebook."""
+
+    @pytest.fixture
+    def saved(self, tmp_path, rng):
+        store = random_store(rng, 12, 8, min_tokens=2, max_tokens=6)
+        codebook = train_codebook(store, k=8, iterations=2, seed=0)
+        save_compressed(compress(store, codebook), tmp_path / "idx")
+        return tmp_path / "idx"
+
+    def test_centroid_id_out_of_range(self, saved):
+        edit_container(saved / "residuals.bin", 5, set_item(3, 10**6))
+        with pytest.raises(BadCentroidId):
+            load_compressed(saved)
+
+    # residuals.bin arrays: 0 cutoffs, 1 values, 2-3 doc ids, 4 token offsets,
+    # 5 centroid ids, 6 packed codes
+    @pytest.mark.parametrize(
+        "index, edit",
+        [
+            (0, lambda a: a[:, :2]),
+            (1, lambda a: a[:-1]),
+            (6, lambda a: a[:, :-1]),
+            (6, lambda a: a[:-1]),
+            (5, lambda a: a[:-1]),
+            (3, lambda a: a[:-1]),
+            (4, lambda a: a[:-1]),
+            (4, lambda a: a + 1),
+            (4, set_item(-1, 10**6)),
+            (4, set_item(2, 1)),
+            (4, set_item(1, 0)),
+        ],
+        ids=[
+            "cutoffs", "values", "code-width", "code-rows", "centroid-ids", "doc-ids",
+            "offset-count", "offsets-from-1", "offsets-past-end", "offsets-decrease",
+            "empty-doc",
+        ],
+    )
+    def test_arrays_checked(self, saved, index, edit):
+        edit_container(saved / "residuals.bin", index, edit)
+        with pytest.raises(FormatError):
+            load_compressed(saved)
+
+    @pytest.mark.parametrize("key", ["doc_count", "token_count", "k_centroids", "dim"])
+    def test_meta_counts_checked(self, saved, key):
+        meta = json.loads((saved / "meta.json").read_text(encoding="utf-8"))
+        meta[key] += 1
+        (saved / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(FormatError):
+            load_compressed(saved)
+
+    @pytest.mark.parametrize("name", ["codebook.bin", "residuals.bin"])
+    def test_version_one_file_rejected(self, saved, name):
+        data = bytearray((saved / name).read_bytes())
+        data[4:8] = struct.pack("<I", 1)
+        (saved / name).write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="rebuild the index"):
+            load_compressed(saved)

@@ -1,9 +1,11 @@
 """Exact flat index: brute-force parity, ordering contract, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
-from lateir.errors import DimMismatch, EmptyStore
+from lateir.errors import DimMismatch, EmptyStore, FormatError
 from lateir.exact import build_exact, load_exact, save_exact, search_exact
 from lateir.scoring import maxsim
 from lateir.store import EmbeddingStore, StoreManifest
@@ -133,9 +135,27 @@ class TestPersistence:
         store = random_store(rng, 10, 8, precision="float16")
         index = build_exact(store, "float16")
         save_exact(index, tmp_path / "idx")
+        assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
+            "index-meta.json",
+            "tokens.bin",
+        ]
         back = load_exact(tmp_path / "idx")
         assert back.doc_ids == index.doc_ids
         assert back.precision == "float16"
         np.testing.assert_array_equal(back.tokens, index.tokens)
         q = unit_rows(rng, 3, 8)
         assert search_exact(back, q, k=10).entries == search_exact(index, q, k=10).entries
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dim", 9), ("precision", "float32"), ("doc_count", 11), ("token_count", 0),
+         ("format_version", 1)],
+    )
+    def test_meta_cross_checked(self, tmp_path, rng, key, value):
+        save_exact(build_exact(random_store(rng, 10, 8), "float16"), tmp_path / "idx")
+        meta_path = tmp_path / "idx" / "index-meta.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(FormatError):
+            load_exact(tmp_path / "idx")

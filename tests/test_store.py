@@ -14,9 +14,13 @@ from lateir.store import (
     ingest_embeddings,
     load_store,
     normalize_matrix,
+    pack_strings,
+    read_arrays,
     read_corpus_jsonl,
     read_embedding_file,
     save_store,
+    unpack_strings,
+    write_arrays,
     write_embedding_file,
 )
 
@@ -289,3 +293,85 @@ class TestCorpusJsonl:
         path.write_text('{"id": "", "text": "x"}\n')
         with pytest.raises(ParseError):
             read_corpus_jsonl(path)
+
+
+class TestArrayContainer:
+    DTYPES = ["<f2", "<i8", "u1", "<u4"]
+
+    def _arrays(self, rng):
+        return [
+            rng.standard_normal((5, 3)).astype("<f2"),
+            np.arange(7, dtype="<i8"),
+            np.zeros(0, dtype="u1"),
+            rng.integers(0, 1 << 32, size=(2, 2, 2)).astype("<u4"),
+        ]
+
+    def test_round_trip(self, tmp_path, rng):
+        arrays = self._arrays(rng)
+        write_arrays(tmp_path / "a.bin", b"TEST", 3, arrays)
+        back = read_arrays(tmp_path / "a.bin", b"TEST", 3, self.DTYPES)
+        assert len(back) == len(arrays)
+        for a, b in zip(arrays, back):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "magic, version, dtypes",
+        [
+            (b"NOPE", 3, DTYPES),
+            (b"TEST", 1, DTYPES),
+            (b"TEST", 3, DTYPES[:3]),
+            (b"TEST", 3, ["<f4"] + DTYPES[1:]),
+        ],
+    )
+    def test_header_and_dtype_checked(self, tmp_path, rng, magic, version, dtypes):
+        write_arrays(tmp_path / "a.bin", b"TEST", 3, self._arrays(rng))
+        with pytest.raises(FormatError):
+            read_arrays(tmp_path / "a.bin", magic, version, dtypes)
+
+    def test_old_version_asks_for_rebuild(self, tmp_path):
+        write_arrays(tmp_path / "a.bin", b"TEST", 1, [np.zeros(2)])
+        with pytest.raises(FormatError, match="rebuild the index"):
+            read_arrays(tmp_path / "a.bin", b"TEST", 2, ["<f8"])
+
+    def test_fortran_order_rejected(self, tmp_path):
+        path = tmp_path / "a.bin"
+        with open(path, "wb") as fh:
+            fh.write(struct.pack("<4sII", b"TEST", 1, 1))
+            np.lib.format.write_array(fh, np.asfortranarray(np.ones((3, 2))))
+        with pytest.raises(FormatError):
+            read_arrays(path, b"TEST", 1, ["<f8"])
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "a.bin"
+        write_arrays(path, b"TEST", 1, [np.ones(3)])
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="trailing"):
+            read_arrays(path, b"TEST", 1, ["<f8"])
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, rng):
+        path = tmp_path / "a.bin"
+        write_arrays(path, b"TEST", 3, self._arrays(rng))
+        before = path.read_bytes()
+        # an object array cannot be written without pickling, so the write
+        # fails after the header and the first array are already out
+        with pytest.raises(ValueError):
+            write_arrays(path, b"TEST", 3, [np.ones(4), np.array([None, 1], dtype=object)])
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
+
+    def test_strings_round_trip(self):
+        strings = ["", "doc-1", "東京都", "é", ""]
+        blob, offsets = pack_strings(strings)
+        assert blob.dtype == np.uint8 and offsets.dtype == np.int64
+        assert offsets.shape == (len(strings) + 1,)
+        assert unpack_strings(blob, offsets, "x") == strings
+        assert unpack_strings(*pack_strings([]), "x") == []
+
+    @pytest.mark.parametrize(
+        "offsets", [[0, 2, 1, 5], [1, 3, 5], [0, 3, 6], [0, 5, 5, 5, 9], [], [0, 3, 5]]
+    )
+    def test_bad_string_offsets_or_utf8_rejected(self, offsets):
+        blob, _ = pack_strings(["ab", "東"])  # 2 + 3 bytes; splitting inside 東 is bad UTF-8
+        with pytest.raises(FormatError):
+            unpack_strings(blob, np.array(offsets, dtype=np.int64), "x")
