@@ -19,7 +19,6 @@ sorted terms, int64 posting offsets, doc indexes, term frequencies),
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, DuplicateDocId
 from .ranking import RankedList, ranked_from_scores
 from .store import CorpusRecord, check_format, check_offsets, pack_strings, read_arrays
-from .store import unpack_strings, write_arrays, write_json
+from .store import read_json, unpack_strings, write_arrays, write_json
 
 POSTINGS_MAGIC = b"LIBP"
 DOCLENS_MAGIC = b"LIDL"
@@ -184,7 +183,11 @@ def save_bm25(index: BM25Index, directory: str | Path) -> None:
 
 def load_bm25(directory: str | Path) -> BM25Index:
     directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+    number = (int, float)
+    keys = {"scheme": str, "lowercase": bool, "doc_count": int, "term_count": int,
+            "k1": number, "b": number, "avgdl": number}
+    meta = read_json(directory / "meta.json", keys)
+    check_format(meta["scheme"] in SCHEMES, directory, f"unknown tokenizer {meta['scheme']!r}")
     tokenizer = Tokenizer(scheme=meta["scheme"], lowercase=meta["lowercase"])
     n_docs, n_terms = meta["doc_count"], meta["term_count"]
 

@@ -44,10 +44,11 @@ from .errors import (
     InsufficientCandidates,
     MissingTeacherScore,
 )
-from .evaluation import MetricSpec, evaluate, load_qrels, write_report
+from .evaluation import MetricSpec, evaluate, load_qrels
 from .exact import EXACT_META_NAME, build_exact, load_exact, save_exact, search_exact
 from .mining import (
     DEFAULT_NWAY,
+    NEGATIVE_KEYS,
     MiningConfig,
     TeacherScoreTable,
     build_nway,
@@ -55,13 +56,12 @@ from .mining import (
     mine_dense,
     read_negatives_jsonl,
     transpose_scores,
-    write_negatives_jsonl,
     write_nway_jsonl,
 )
 from .ranking import run_lists_from_trec, write_trec_run
 from .scoring import maxsim
-from .store import EMBEDDING_FORMAT_VERSION
-from .store import ingest_embeddings, load_store, read_corpus_jsonl, save_store, write_json
+from .store import EMBEDDING_FORMAT_VERSION, ingest_embeddings, load_store, read_corpus_jsonl
+from .store import read_rows, save_store, write_json, write_jsonl, write_rows
 
 FORMAT_VERSIONS = {
     "embedding": EMBEDDING_FORMAT_VERSION, "index": INDEX_FORMAT_VERSION, "bm25": BM25_FORMAT_VERSION
@@ -164,10 +164,6 @@ def _resolve_options(
     return resolved
 
 
-def _positives_from_qrels(qrels: dict[str, dict[str, int]]) -> dict[str, set[str]]:
-    return {qid: {d for d, g in judged.items() if g > 0} for qid, judged in qrels.items()}
-
-
 # ----------------------------------------------------------------------
 # command handlers
 # ----------------------------------------------------------------------
@@ -242,24 +238,13 @@ def cmd_search(o: dict) -> int:
     index_dir = Path(o["index"])
     mode = o["mode"] if o["mode"] != "auto" else _detect_mode(index_dir)
     queries = load_store(o["queries"])
-    runs = []
     if mode == "exact":
-        index = load_exact(index_dir)
-        for qid, matrix in queries.entries.items():
-            runs.append(search_exact(index, matrix, o["k"], query_id=qid))
+        index, search, options = load_exact(index_dir), search_exact, {}
     else:
-        index = load_compressed(index_dir)
-        for qid, matrix in queries.entries.items():
-            runs.append(
-                search_compressed(
-                    index,
-                    matrix,
-                    o["k"],
-                    nprobe=o["nprobe"],
-                    candidate_cap=o["candidate_cap"],
-                    query_id=qid,
-                )
-            )
+        index, search = load_compressed(index_dir), search_compressed
+        options = {"nprobe": o["nprobe"], "candidate_cap": o["candidate_cap"]}
+    runs = [search(index, matrix, o["k"], query_id=qid, **options)
+            for qid, matrix in queries.entries.items()]
     out = Path(o["out"])
     write_trec_run(out, runs, tag=o["run_tag"])
     _write_manifest(
@@ -277,21 +262,13 @@ def cmd_score(o: dict) -> int:
     query_store = load_store(o["query_store"])
     doc_store = load_store(o["doc_store"])
     lines = []
-    with open(o["pairs"], encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ConfigError(f"{o['pairs']}:{lineno}: expected 'qid<TAB>did'")
-            qid, did = parts
-            if qid not in query_store.entries:
-                raise ConfigError(f"{o['pairs']}:{lineno}: unknown query id {qid!r}")
-            if did not in doc_store.entries:
-                raise ConfigError(f"{o['pairs']}:{lineno}: unknown document id {did!r}")
-            score = maxsim(query_store.entries[qid], doc_store.entries[did])
-            lines.append(f"{qid}\t{did}\t{score!r}\n")
+    for lineno, (qid, did) in read_rows(o["pairs"], 2, sep="\t"):
+        if qid not in query_store.entries:
+            raise ConfigError(f"{o['pairs']}:{lineno}: unknown query id {qid!r}")
+        if did not in doc_store.entries:
+            raise ConfigError(f"{o['pairs']}:{lineno}: unknown document id {did!r}")
+        score = maxsim(query_store.entries[qid], doc_store.entries[did])
+        lines.append(f"{qid}\t{did}\t{score!r}\n")
     if o["out"]:
         Path(o["out"]).write_text("".join(lines), encoding="utf-8")
         _write_manifest(
@@ -341,93 +318,51 @@ def cmd_bm25_search(o: dict) -> int:
     return 0
 
 
-def cmd_mine_dense(o: dict) -> int:
-    runs = run_lists_from_trec(o["runs"])
-    positives = _positives_from_qrels(load_qrels(o["positives"]))
+def cmd_mine(o: dict) -> int:
+    """`mine dense` mines the --runs file, `mine bm25` searches --index for --queries."""
+    kind = "dense" if "runs" in o else "bm25"
+    qrels = load_qrels(o["positives"])
+    positives = {qid: {d for d, g in judged.items() if g > 0} for qid, judged in qrels.items()}
     cfg = MiningConfig(
         retrieve_depth=o["retrieve_depth"],
         discard_top=o["discard_top"],
-        sample_count_dense=o["samples"],
         seed=o["seed"],
+        **{f"sample_count_{kind}": o["samples"]},
     )
-    negatives = mine_dense(runs.keys(), runs, positives, cfg)
+    if kind == "dense":
+        runs, _ = run_lists_from_trec(o["runs"])
+        negatives = mine_dense(runs.keys(), runs, positives, cfg)
+    else:
+        queries = {q.id: q.text for q in read_corpus_jsonl(o["queries"])}
+        negatives = mine_bm25(queries, load_bm25(o["index"]), positives, cfg)
     rows = [
         {
             "qid": qid,
             "positives": sorted(positives.get(qid, ())),
-            "dense_negatives": negs,
+            f"{kind}_negatives": negs,
             "seed": cfg.seed,
         }
         for qid, negs in negatives.items()
     ]
     out = Path(o["out"])
-    write_negatives_jsonl(out, rows)
+    write_jsonl(out, rows)
     _write_manifest(
         out,
-        "mine-dense",
-        {"runs": o["runs"], "positives": o["positives"]},
+        f"mine-{kind}",
+        {name: o[name] for name in ("runs", "index", "queries", "positives") if name in o},
         {"retrieve_depth": cfg.retrieve_depth, "discard_top": cfg.discard_top,
-         "samples": cfg.sample_count_dense, "seed": cfg.seed},
+         "samples": o["samples"], "seed": cfg.seed},
     )
-    _say(f"mined dense negatives for {len(rows)} queries into {out}")
+    _say(f"mined {kind} negatives for {len(rows)} queries into {out}")
     return 0
-
-
-def cmd_mine_bm25(o: dict) -> int:
-    index = load_bm25(o["index"])
-    queries = {q.id: q.text for q in read_corpus_jsonl(o["queries"])}
-    positives = _positives_from_qrels(load_qrels(o["positives"]))
-    cfg = MiningConfig(
-        retrieve_depth=o["retrieve_depth"],
-        discard_top=o["discard_top"],
-        sample_count_bm25=o["samples"],
-        seed=o["seed"],
-    )
-    negatives = mine_bm25(queries, index, positives, cfg)
-    rows = [
-        {
-            "qid": qid,
-            "positives": sorted(positives.get(qid, ())),
-            "bm25_negatives": negs,
-            "seed": cfg.seed,
-        }
-        for qid, negs in negatives.items()
-    ]
-    out = Path(o["out"])
-    write_negatives_jsonl(out, rows)
-    _write_manifest(
-        out,
-        "mine-bm25",
-        {"index": o["index"], "queries": o["queries"], "positives": o["positives"]},
-        {"retrieve_depth": cfg.retrieve_depth, "discard_top": cfg.discard_top,
-         "samples": cfg.sample_count_bm25, "seed": cfg.seed},
-    )
-    _say(f"mined bm25 negatives for {len(rows)} queries into {out}")
-    return 0
-
-
-def _read_pairs_tsv(path: str | Path) -> list[tuple[str, str]]:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ConfigError(f"{path}:{lineno}: expected 'qid<TAB>did'")
-            pairs.append((parts[0], parts[1]))
-    return pairs
 
 
 def cmd_transpose(o: dict) -> int:
     table = TeacherScoreTable.from_tsv(o["scores"])
-    universe = _read_pairs_tsv(o["pairs"])
-    kept, dropped = transpose_scores(table, universe)
+    pairs = ((qid, did) for _, (qid, did) in read_rows(o["pairs"], 2, sep="\t"))
+    kept, dropped = transpose_scores(table, pairs)
     kept.write_tsv(o["out"])
-    with open(o["dropped"], "w", encoding="utf-8") as fh:
-        for qid, did in dropped:
-            fh.write(f"{qid}\t{did}\n")
+    write_rows(o["dropped"], dropped)
     _write_manifest(
         Path(o["out"]),
         "transpose",
@@ -440,39 +375,31 @@ def cmd_transpose(o: dict) -> int:
 
 def cmd_nway(o: dict) -> int:
     table = TeacherScoreTable.from_tsv(o["scores"])
-    keep_set: frozenset[str] = frozenset()
-    if o["keep"]:
-        keep_set = frozenset(
-            line.strip() for line in Path(o["keep"]).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        )
+    keep_set = frozenset(did for _, (did,) in read_rows(o["keep"], 1)) if o["keep"] else frozenset()
 
-    # merge candidate files: negatives lists concatenate in file order per query
-    merged: dict[str, dict] = {}
+    # merge candidate files per query: positives once each in first-seen order,
+    # negatives lists concatenated in file order
+    positives: dict[str, dict[str, None]] = {}
+    negatives: dict[str, list[str]] = {}
     for path in o["candidates"]:
         for row in read_negatives_jsonl(path):
-            entry = merged.setdefault(row["qid"], {"positives": [], "negatives": []})
-            for pos in row.get("positives", []):
-                if pos not in entry["positives"]:
-                    entry["positives"].append(pos)
-            for key in ("dense_negatives", "bm25_negatives", "negatives"):
-                for neg in row.get(key) or []:
-                    entry["negatives"].append(neg)
+            positives.setdefault(row["qid"], {}).update(dict.fromkeys(row.get("positives") or []))
+            negatives.setdefault(row["qid"], []).extend(
+                did for key in NEGATIVE_KEYS for did in row.get(key) or [])
 
     examples = []
     skipped: list[tuple[str, str]] = []
-    for qid, entry in merged.items():
-        if not entry["positives"]:
+    for qid, known_positives in positives.items():
+        if not known_positives:
             skipped.append((qid, "no positive"))
             continue
-        positive = entry["positives"][0]
+        positive = next(iter(known_positives))
         pos_score = table.get(qid, positive)
         if pos_score is None:
             skipped.append((qid, f"no teacher score for positive {positive}"))
             continue
-        known_positives = set(entry["positives"])
         candidates = []
-        for did in entry["negatives"]:
+        for did in negatives[qid]:
             if did in known_positives:
                 continue
             score = table.get(qid, did)
@@ -491,10 +418,7 @@ def cmd_nway(o: dict) -> int:
             skipped.append((qid, str(exc)))
     out = Path(o["out"])
     write_nway_jsonl(out, examples)
-    skipped_path = Path(o["skipped"]) if o["skipped"] else Path(str(out) + ".skipped.tsv")
-    with open(skipped_path, "w", encoding="utf-8") as fh:
-        for qid, reason in skipped:
-            fh.write(f"{qid}\t{reason}\n")
+    write_rows(Path(o["skipped"]) if o["skipped"] else Path(str(out) + ".skipped.tsv"), skipped)
     _write_manifest(
         out,
         "nway",
@@ -517,7 +441,7 @@ def cmd_eval(o: dict) -> int:
     for warning in report["warnings"]:
         _say(f"warning: {warning}")
     if o["out"]:
-        write_report(report, o["out"])
+        write_json(o["out"], report)
         _write_manifest(
             Path(o["out"]),
             "eval",
@@ -609,7 +533,7 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
             Opt("samples", type=int, default=25),
             Opt("seed", type=int, default=42),
         ],
-        cmd_mine_dense,
+        cmd_mine,
     ),
     "mine-bm25": (
         [
@@ -622,7 +546,7 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
             Opt("samples", type=int, default=10),
             Opt("seed", type=int, default=42),
         ],
-        cmd_mine_bm25,
+        cmd_mine,
     ),
     "transpose": (
         [

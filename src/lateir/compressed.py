@@ -30,7 +30,6 @@ Index directory layout (array containers, see ``store.write_arrays``)::
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,8 +38,9 @@ import numpy as np
 
 from .errors import BadCentroidId, DimMismatch, InsufficientTokens
 from .ranking import RankedList, ranked_from_scores
+from .scoring import check_query
 from .store import EmbeddingStore, check_format, check_offsets, pack_strings, read_arrays
-from .store import stack_store, unpack_strings, write_arrays, write_json
+from .store import read_json, stack_store, unpack_strings, write_arrays, write_json
 
 CODEBOOK_MAGIC = b"LICB"
 RESIDUAL_MAGIC = b"LIRC"
@@ -285,14 +285,6 @@ def decompress(code: ResidualCode, codebook: Codebook, codec: ResidualCodec) -> 
     )[0]
 
 
-def token_code(index: CompressedIndex, doc_index: int, position: int) -> ResidualCode:
-    """The stored ResidualCode of one token, addressed by document and position."""
-    t = int(index.offsets[doc_index]) + position
-    return ResidualCode(
-        centroid_id=int(index.centroid_ids[t]), packed=index.packed_codes[t].tobytes()
-    )
-
-
 def _segment_ranges(offsets: np.ndarray, segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat token indexes for the given segments plus boundaries between them."""
     lengths = (offsets[segments + 1] - offsets[segments]).astype(np.int64)
@@ -315,9 +307,7 @@ def search_compressed(
         raise ValueError("k and nprobe must be >= 1")
     if candidate_cap < k:
         raise ValueError("candidate_cap must be >= k")
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != index.codebook.dim:
-        raise DimMismatch(f"query shape {q.shape} does not match index dim {index.codebook.dim}")
+    q = check_query(q, index.codebook.dim)
 
     centroids64 = index.codebook.centroids.astype(np.float64)
     qsims = q @ centroids64.T  # (q_tokens, K)
@@ -329,8 +319,6 @@ def search_compressed(
         index.ivf_docs[index.ivf_offsets[c] : index.ivf_offsets[c + 1]]
         for c in np.unique(probed)
     ]
-    if not pieces:
-        return RankedList(query_id=query_id)
     candidates = np.unique(np.concatenate(pieces))
     if candidates.size == 0:
         return RankedList(query_id=query_id)
@@ -378,7 +366,8 @@ def save_compressed(index: CompressedIndex, directory: str | Path) -> None:
 def load_compressed(directory: str | Path) -> CompressedIndex:
     """Load an index, checking every array against meta.json before search uses it."""
     directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text(encoding="utf-8"))
+    keys = {"k_centroids": int, "dim": int, "doc_count": int, "token_count": int, "seed": int}
+    meta = read_json(directory / "meta.json", keys)
     k, dim, n_docs, total = (meta[key] for key in ("k_centroids", "dim", "doc_count", "token_count"))
 
     path = directory / "codebook.bin"

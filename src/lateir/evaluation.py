@@ -14,19 +14,21 @@ Conventions (also recorded in every report):
   id); a run whose rank column disagrees gets a warning, not an error.
 
 Qrels files are TREC format ``qid 0 docid grade``; runs are TREC run
-format as written by the search commands.
+format as written by the search commands.  Both are read line by line
+through ``store.read_rows``, so a malformed line raises ParseError with its
+line number.  Reports are written with ``store.write_json``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import ParseError
-from .ranking import RankedList, ranked_from_scores, read_trec_run
+from .ranking import RankedList, run_lists_from_trec
+from .store import read_rows
 
 METRICS = ("ndcg", "recall", "map", "mrr")
 
@@ -70,24 +72,17 @@ Qrels = dict[str, dict[str, int]]
 def load_qrels(path: str | Path) -> Qrels:
     """Read TREC qrels; grades must be non-negative ints, pairs unique."""
     qrels: Qrels = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ParseError(f"expected 4 fields, got {len(parts)}", lineno)
-            qid, _, doc_id, grade_s = parts
-            try:
-                grade = int(grade_s)
-            except ValueError as exc:
-                raise ParseError(f"bad grade {grade_s!r}", lineno) from exc
-            if grade < 0:
-                raise ParseError(f"negative grade {grade}", lineno)
-            per_query = qrels.setdefault(qid, {})
-            if doc_id in per_query:
-                raise ParseError(f"duplicate pair ({qid!r}, {doc_id!r})", lineno)
-            per_query[doc_id] = grade
+    for lineno, (qid, _, doc_id, grade_s) in read_rows(path, 4):
+        try:
+            grade = int(grade_s)
+        except ValueError as exc:
+            raise ParseError(f"bad grade {grade_s!r}", lineno) from exc
+        if grade < 0:
+            raise ParseError(f"negative grade {grade}", lineno)
+        per_query = qrels.setdefault(qid, {})
+        if doc_id in per_query:
+            raise ParseError(f"duplicate pair ({qid!r}, {doc_id!r})", lineno)
+        per_query[doc_id] = grade
     return qrels
 
 
@@ -144,23 +139,6 @@ def compute_metric(spec: MetricSpec, run: RankedList, judgments: Mapping[str, in
     return _METRIC_FNS[spec.metric](run, judgments, spec.k)
 
 
-def _canonical_runs(
-    raw: dict[str, list[tuple[str, int, float]]]
-) -> tuple[dict[str, RankedList], list[str]]:
-    runs: dict[str, RankedList] = {}
-    disordered: list[str] = []
-    for qid, rows in raw.items():
-        ids = [doc_id for doc_id, _, _ in rows]
-        if len(set(ids)) != len(ids):
-            raise ParseError(f"duplicate document in run for query {qid!r}")
-        by_rank = [doc_id for doc_id, _, _ in sorted(rows, key=lambda r: r[1])]
-        canonical = ranked_from_scores(qid, ids, [score for _, _, score in rows])
-        if by_rank != canonical.doc_ids():
-            disordered.append(qid)
-        runs[qid] = canonical
-    return runs, disordered
-
-
 def evaluate(
     run: str | Path | Mapping[str, RankedList],
     qrels: str | Path | Qrels,
@@ -174,7 +152,7 @@ def evaluate(
     """
     warnings: list[str] = []
     if isinstance(run, (str, Path)):
-        runs, disordered = _canonical_runs(read_trec_run(run))
+        runs, disordered = run_lists_from_trec(run)
         for qid in disordered:
             warnings.append(f"run rank column disagrees with score order for query {qid!r}")
     else:
@@ -213,9 +191,3 @@ def evaluate(
         },
         "warnings": warnings,
     }
-
-
-def write_report(report: dict, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

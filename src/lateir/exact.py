@@ -11,17 +11,16 @@ container (magic LIEX) of doc ids, int64 token offsets and the token rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .compressed import INDEX_FORMAT_VERSION
-from .errors import DimMismatch, EmptyStore
 from .ranking import RankedList, ranked_from_scores
+from .scoring import check_query
 from .store import PRECISION_DTYPES, EmbeddingStore, check_format, check_offsets, stack_store
-from .store import pack_strings, read_arrays, unpack_strings, write_arrays, write_json
+from .store import pack_strings, read_arrays, read_json, unpack_strings, write_arrays, write_json
 
 EXACT_META_NAME = "index-meta.json"
 EXACT_MAGIC = b"LIEX"
@@ -48,8 +47,6 @@ class ExactIndex:
 
 def build_exact(store: EmbeddingStore, precision: str = "float16") -> ExactIndex:
     """Build a flat index covering every document once, cast to `precision`."""
-    if len(store) == 0:
-        raise EmptyStore("cannot index an empty store")
     tokens, offsets, doc_ids = stack_store(store, PRECISION_DTYPES[precision])
     return ExactIndex(
         dim=store.dim, precision=precision, doc_ids=doc_ids, tokens=tokens, offsets=offsets
@@ -60,9 +57,7 @@ def search_exact(
     index: ExactIndex, q: np.ndarray, k: int, query_id: str = ""
 ) -> RankedList:
     """Top-min(k, N) documents by maxsim, scoring every document exactly once."""
-    q = np.asarray(q, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != index.dim:
-        raise DimMismatch(f"query shape {q.shape} does not match index dim {index.dim}")
+    q = check_query(q, index.dim)
     if k < 1:
         raise ValueError("k must be >= 1")
     sims = q @ index.tokens_f64().T  # (q_tokens, total_doc_tokens)
@@ -89,9 +84,11 @@ def save_exact(index: ExactIndex, directory: str | Path) -> None:
 
 def load_exact(directory: str | Path) -> ExactIndex:
     directory = Path(directory)
-    meta = json.loads((directory / EXACT_META_NAME).read_text(encoding="utf-8"))
-    check_format(meta.get("mode") == "exact", directory, "not an exact index")
-    check_format(meta.get("format_version") == INDEX_FORMAT_VERSION, directory, "rebuild the index")
+    keys = {"mode": str, "format_version": int, "precision": str, "doc_count": int,
+            "token_count": int, "dim": int}
+    meta = read_json(directory / EXACT_META_NAME, keys)
+    check_format(meta["mode"] == "exact", directory, "not an exact index")
+    check_format(meta["format_version"] == INDEX_FORMAT_VERSION, directory, "rebuild the index")
     path, precision, n_docs = directory / "tokens.bin", meta["precision"], meta["doc_count"]
     check_format(precision in PRECISION_DTYPES, path, f"unknown precision {precision!r}")
     dtypes = ["u1", "<i8", "<i8", PRECISION_DTYPES[precision]]

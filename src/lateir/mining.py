@@ -4,7 +4,8 @@ Both mining recipes share one windowing rule: retrieve deep (110 by
 default), discard the top 10 ranks as likely unlabeled positives, then
 sample uniformly without replacement from the next 100 — 25 negatives per
 query for the dense recipe, 10 for the BM25 recipe.  Annotated positives
-are excluded from the pool outright.
+are excluded from the pool outright.  A query whose ranking has no more
+than 10 entries gets no negatives; the rest of the batch is unaffected.
 
 Sampling uses stdlib ``random.Random`` seeded per query from
 (global seed, query id), so output is reproducible byte-for-byte and
@@ -15,12 +16,15 @@ Transposition copies scores onto a translated pair universe that shares the
 same id space; pairs with no source score are reported, never fabricated.
 An n-way example is one query with a positive at index 0 plus n-1 distinct
 negatives, each carrying its teacher score.
+
+Teacher-score TSV, mined negatives and n-way JSONL go through the line
+helpers in ``store``: a malformed line or a missing or mistyped field raises
+ParseError with its line number.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -36,6 +40,7 @@ from .errors import (
     ParseError,
 )
 from .ranking import RankedList
+from .store import read_jsonl, read_rows, write_jsonl, write_rows
 
 DEFAULT_NWAY = 32
 
@@ -94,6 +99,32 @@ def mine_window(
     return random.Random(seed).sample(pool, sample_count)
 
 
+def _mine(
+    queries: Iterable[str],
+    runs: Mapping[str, RankedList],
+    positives: Mapping[str, set[str]],
+    cfg: MiningConfig,
+    sample_count: int,
+) -> dict[str, list[str]]:
+    """Window each query's run on its own; a run too short for the window gives []."""
+    out: dict[str, list[str]] = {}
+    for qid in queries:
+        if qid not in runs:
+            raise MissingRun(qid)
+        try:
+            out[qid] = mine_window(
+                runs[qid],
+                set(positives.get(qid, ())),
+                discard_top=cfg.discard_top,
+                pool_size=cfg.pool_size,
+                sample_count=sample_count,
+                seed=derive_seed(cfg.seed, qid),
+            )
+        except EmptyRanking:
+            out[qid] = []
+    return out
+
+
 def mine_dense(
     queries: Iterable[str],
     runs: Mapping[str, RankedList],
@@ -101,20 +132,7 @@ def mine_dense(
     cfg: MiningConfig,
 ) -> dict[str, list[str]]:
     """Dense-retriever recipe: window (10, 100) and 25 samples per query."""
-    out: dict[str, list[str]] = {}
-    for qid in queries:
-        run = runs.get(qid)
-        if run is None:
-            raise MissingRun(qid)
-        out[qid] = mine_window(
-            run,
-            set(positives.get(qid, ())),
-            discard_top=cfg.discard_top,
-            pool_size=cfg.pool_size,
-            sample_count=cfg.sample_count_dense,
-            seed=derive_seed(cfg.seed, qid),
-        )
-    return out
+    return _mine(queries, runs, positives, cfg, cfg.sample_count_dense)
 
 
 def mine_bm25(
@@ -124,18 +142,9 @@ def mine_bm25(
     cfg: MiningConfig,
 ) -> dict[str, list[str]]:
     """BM25 recipe: retrieve to depth 110 internally, window (10, 100), 10 samples."""
-    out: dict[str, list[str]] = {}
-    for qid, text in queries.items():
-        run = search_bm25(index, text, index.tokenizer, k=cfg.retrieve_depth, query_id=qid)
-        out[qid] = mine_window(
-            run,
-            set(positives.get(qid, ())),
-            discard_top=cfg.discard_top,
-            pool_size=cfg.pool_size,
-            sample_count=cfg.sample_count_bm25,
-            seed=derive_seed(cfg.seed, qid),
-        )
-    return out
+    runs = {qid: search_bm25(index, text, index.tokenizer, k=cfg.retrieve_depth, query_id=qid)
+            for qid, text in queries.items()}
+    return _mine(queries, runs, positives, cfg, cfg.sample_count_bm25)
 
 
 @dataclass
@@ -168,32 +177,24 @@ class TeacherScoreTable:
     @classmethod
     def from_tsv(cls, path: str | Path, source: str | None = None) -> "TeacherScoreTable":
         table = cls(source=source if source is not None else str(path))
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", lineno)
-                qid, did, raw_score = parts
-                try:
-                    score = float(raw_score)
-                except ValueError as exc:
-                    raise ParseError(f"bad score {raw_score!r}", lineno) from exc
-                key = (qid, did)
-                if key in table.scores:
-                    raise ParseError(f"duplicate pair {key!r}", lineno)
-                if not math.isfinite(score):
-                    raise ParseError(f"non-finite score for pair {key!r}", lineno)
-                table.scores[key] = score
-                table.raw[key] = raw_score
+        # the checks of add, inline: this loop runs once per training pair
+        for lineno, (qid, did, raw_score) in read_rows(path, 3, sep="\t"):
+            try:
+                score = float(raw_score)
+            except ValueError as exc:
+                raise ParseError(f"bad score {raw_score!r}", lineno) from exc
+            key = (qid, did)
+            if key in table.scores:
+                raise ParseError(f"duplicate pair {key!r}", lineno)
+            if not math.isfinite(score):
+                raise ParseError(f"non-finite score for pair {key!r}", lineno)
+            table.scores[key] = score
+            table.raw[key] = raw_score
         return table
 
     def write_tsv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for (qid, did), score in self.scores.items():
-                fh.write(f"{qid}\t{did}\t{self.raw.get((qid, did), repr(score))}\n")
+        write_rows(path, ((qid, did, self.raw.get((qid, did), repr(score)))
+                          for (qid, did), score in self.scores.items()))
 
 
 def transpose_scores(
@@ -287,63 +288,38 @@ def build_nway(
 
 
 def write_nway_jsonl(path: str | Path, examples: Iterable[NWayExample]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(
-                json.dumps(
-                    {"qid": ex.query_id, "passages": ex.passage_ids, "scores": ex.teacher_scores},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-            count += 1
-    return count
+    return write_jsonl(path, ({"qid": ex.query_id, "passages": ex.passage_ids,
+                               "scores": ex.teacher_scores} for ex in examples))
 
 
 def read_nway_jsonl(path: str | Path) -> list[NWayExample]:
+    """N-way examples; ParseError for a missing or mistyped qid, passages or scores."""
     out: list[NWayExample] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            out.append(
-                NWayExample(
-                    query_id=str(obj["qid"]),
-                    passage_ids=[str(p) for p in obj["passages"]],
-                    teacher_scores=[float(s) for s in obj["scores"]],
-                )
-            )
+    for lineno, obj in read_jsonl(path):
+        try:
+            passages, scores = obj["passages"], obj["scores"]
+            if not isinstance(passages, list) or not isinstance(scores, list):
+                raise TypeError("'passages' and 'scores' must be lists")
+            out.append(NWayExample(str(obj["qid"]), [str(p) for p in passages],
+                                   [float(s) for s in scores]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad n-way example: {exc!r}", lineno) from exc
     return out
 
 
-def write_negatives_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
-    """Mining output: one {qid, positives, *_negatives, seed} object per line."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-            count += 1
-    return count
+NEGATIVE_KEYS = ("dense_negatives", "bm25_negatives", "negatives")
 
 
 def read_negatives_jsonl(path: str | Path) -> list[dict]:
+    """Mining output rows {qid, positives, *_negatives, seed}; ParseError for a row
+    without a string qid, or whose positives or negatives are not lists of ids."""
     out: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            if "qid" not in obj:
-                raise ParseError("missing 'qid'", lineno)
-            out.append(obj)
+    for lineno, row in read_jsonl(path):
+        if not isinstance(row.get("qid"), str):
+            raise ParseError("expected a string 'qid'", lineno)
+        for key in ("positives", *NEGATIVE_KEYS):
+            ids = row.get(key)
+            if not (ids is None or isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+                raise ParseError(f"{key!r} must be a list of ids", lineno)
+        out.append(row)
     return out

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ParseError
+from .store import read_rows
 
 
 @dataclass
@@ -58,30 +59,28 @@ def write_trec_run(path: str | Path, runs: Iterable[RankedList], tag: str = "lat
 def read_trec_run(path: str | Path) -> dict[str, list[tuple[str, int, float]]]:
     """Read a TREC run file into {qid: [(docid, rank, score), ...]} in file order."""
     out: dict[str, list[tuple[str, int, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ParseError(f"expected 6 fields, got {len(parts)}", lineno)
-            qid, _, doc_id, rank_s, score_s, _tag = parts
-            try:
-                rank = int(rank_s)
-                score = float(score_s)
-            except ValueError as exc:
-                raise ParseError(f"bad rank/score: {exc}", lineno) from exc
-            out.setdefault(qid, []).append((doc_id, rank, score))
+    for lineno, (qid, _, doc_id, rank_s, score_s, _tag) in read_rows(path, 6):
+        try:
+            rank = int(rank_s)
+            score = float(score_s)
+        except ValueError as exc:
+            raise ParseError(f"bad rank/score: {exc}", lineno) from exc
+        out.setdefault(qid, []).append((doc_id, rank, score))
     return out
 
 
-def run_lists_from_trec(path: str | Path) -> dict[str, RankedList]:
-    """Read a run file and canonicalize each query's list (score desc, id asc)."""
-    raw = read_trec_run(path)
+def run_lists_from_trec(path: str | Path) -> tuple[dict[str, RankedList], list[str]]:
+    """Read a run file and canonicalize each query's list (score desc, id asc).
+
+    Returns the lists and the queries whose rank column disagrees with that order.
+    """
     out: dict[str, RankedList] = {}
-    for qid, rows in raw.items():
+    disordered: list[str] = []
+    for qid, rows in read_trec_run(path).items():
         ids = [doc_id for doc_id, _, _ in rows]
         if len(set(ids)) != len(ids):
             raise ParseError(f"duplicate document in run for query {qid!r}")
         out[qid] = ranked_from_scores(qid, ids, [score for _, _, score in rows])
-    return out
+        if [doc_id for doc_id, _, _ in sorted(rows, key=lambda r: r[1])] != out[qid].doc_ids():
+            disordered.append(qid)
+    return out, disordered

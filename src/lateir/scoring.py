@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NonFiniteScore
+from .errors import DimMismatch, FormatError, NonFiniteScore
 
 
 def _as_f64_pair(q: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -28,6 +28,17 @@ def _as_f64_pair(q: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if q.shape[1] != d.shape[1]:
         raise DimMismatch(f"query dim {q.shape[1]} != document dim {d.shape[1]}")
     return q, d
+
+
+def check_query(q: np.ndarray, dim: int) -> np.ndarray:
+    """The query as float64: DimMismatch unless it is (rows, dim), FormatError
+    if it has no rows or a non-finite value."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != dim:
+        raise DimMismatch(f"query shape {q.shape} does not match index dim {dim}")
+    if q.shape[0] == 0 or not np.isfinite(q).all():
+        raise FormatError("query has no rows or a non-finite value")
+    return q
 
 
 def maxsim(q: np.ndarray, d: np.ndarray) -> float:

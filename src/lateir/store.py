@@ -16,8 +16,14 @@ plus ``manifest.json``.
 Every index file is an array container: magic (4 bytes) | u32 format
 version | u32 array count, then one ``.npy`` record per array.
 Strings are stored as a UTF-8 blob (uint8) plus int64 byte offsets.
+Containers and JSON metadata are written to a temporary sibling, then
+renamed; ``read_json`` checks each metadata key's JSON type.
 
-Corpus files are JSONL with one ``{"id": ..., "text": ...}`` object per line.
+Every line-oriented text file (runs, qrels, pairs, teacher scores, corpus,
+negatives and n-way JSONL) is read by ``read_rows`` or ``read_jsonl`` and
+written by ``write_rows`` or ``write_jsonl``; a malformed line raises
+ParseError with its line number.  Corpus files are JSONL with one
+``{"id": ..., "text": ...}`` object per line.
 """
 
 from __future__ import annotations
@@ -27,14 +33,15 @@ import math
 import os
 import struct
 import tokenize
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DuplicateDocId, FormatError, LengthError, ParseError, ZeroVectorRow
+from .errors import DuplicateDocId, EmptyStore, FormatError, LengthError, ParseError, ZeroVectorRow
 
 EMBEDDING_MAGIC = b"LIEM"
 EMBEDDING_FORMAT_VERSION = 1
@@ -94,9 +101,13 @@ class EmbeddingStore:
         return sum(m.shape[0] for m in self.entries.values())
 
 
-def _unit_rows(values: np.ndarray) -> np.ndarray:
-    """Divide each row by its L2 norm, in float64."""
-    v = np.asarray(values, dtype=np.float64)
+def normalize_matrix(m: np.ndarray) -> np.ndarray:
+    """Unit-normalize every row of a token matrix.
+
+    Directions are preserved; math runs in float64 and the result is
+    float64.  Raises ZeroVectorRow for rows with norm below 1e-12.
+    """
+    v = np.asarray(m, dtype=np.float64)
     if v.ndim != 2:
         raise ValueError(f"expected a 2-d token matrix, got shape {v.shape}")
     norms = np.linalg.norm(v, axis=1)
@@ -106,21 +117,12 @@ def _unit_rows(values: np.ndarray) -> np.ndarray:
     return v / norms[:, None]
 
 
-def normalize_matrix(m: np.ndarray) -> np.ndarray:
-    """Unit-normalize every row of a token matrix.
-
-    Directions are preserved; math runs in float64 and the result is
-    float64.  Raises ZeroVectorRow for rows with norm below 1e-12.
-    """
-    return _unit_rows(m)
-
-
 def _normalize_to_precision(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
     # Iterate normalize-then-cast to a fixpoint so serializing a store and
     # re-ingesting it reproduces the exact same stored bits.
     cur = np.asarray(values)
     for _ in range(6):
-        nxt = _unit_rows(cur).astype(dtype)
+        nxt = normalize_matrix(cur).astype(dtype)
         if cur.dtype == nxt.dtype and np.array_equal(cur, nxt):
             return nxt
         cur = nxt
@@ -208,9 +210,85 @@ def read_embedding_file(path: str | Path) -> tuple[int, str, list[tuple[str, np.
     return dim, precision, entries
 
 
+@contextmanager
+def _replacing(path: str | Path):
+    """A binary file handle on a temporary sibling that is renamed over path on
+    success, so a write that fails part way leaves any previous file intact."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | Path, obj) -> None:
     """Pretty-printed, key-sorted JSON plus a newline, so equal objects give equal bytes."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _replacing(path) as fh:
+        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def read_json(path: str | Path, keys: Mapping[str, type | tuple[type, ...]]) -> dict:
+    """A JSON object holding every key in keys with a value of the given type(s),
+    a bool counting only as a bool; FormatError naming path otherwise."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: unreadable JSON: {exc}") from exc
+    check_format(isinstance(obj, dict), path, "not a JSON object")
+    for key, types in keys.items():
+        value, name = obj.get(key), getattr(types, "__name__", "number")
+        ok = isinstance(value, types) and (types is bool or not isinstance(value, bool))
+        check_format(ok, path, f"key {key!r} missing or not of type {name}")
+    return obj
+
+
+def read_rows(path: str | Path, fields: int, sep: str | None = None
+              ) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each non-blank line, split on whitespace or on sep;
+    ParseError with the line number for a line without exactly `fields` fields."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.rstrip("\n").split(sep)
+            if len(parts) != fields:
+                if parts and parts != [""]:
+                    raise ParseError(f"expected {fields} fields, got {len(parts)}", lineno)
+                continue
+            yield lineno, parts
+
+
+def write_rows(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
+    """One tab-separated line per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines("\t".join(row) + "\n" for row in rows)
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, object) for each non-blank line of a JSONL file; ParseError
+    with the line number for invalid JSON or a line that is not an object."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
+            if not isinstance(obj, dict):
+                raise ParseError(f"expected a JSON object, got {type(obj).__name__}", lineno)
+            yield lineno, obj
+
+
+def write_jsonl(path: str | Path, objs: Iterable[dict]) -> int:
+    """One ensure_ascii=False JSON object per line; returns the count."""
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            count += 1
+    return count
 
 
 def check_format(cond: bool, path: str | Path, message: str) -> None:
@@ -226,18 +304,11 @@ def check_offsets(offsets: np.ndarray, end: int, path: str | Path, what: str, mi
 
 
 def write_arrays(path: str | Path, magic: bytes, version: int, arrays: Sequence[np.ndarray]):
-    """Write an array container to a temporary sibling, then rename it over path,
-    so a write that fails part way leaves any previous file intact."""
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_ARRAYS_HEADER.pack(magic, version, len(arrays)))
-            for array in arrays:
-                np.lib.format.write_array(fh, np.ascontiguousarray(array), allow_pickle=False)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write an array container through a temporary sibling (see _replacing)."""
+    with _replacing(path) as fh:
+        fh.write(_ARRAYS_HEADER.pack(magic, version, len(arrays)))
+        for array in arrays:
+            np.lib.format.write_array(fh, np.ascontiguousarray(array), allow_pickle=False)
 
 
 def read_arrays(path: str | Path, magic: bytes, version: int, dtypes: Sequence) -> list[np.ndarray]:
@@ -289,9 +360,15 @@ def unpack_strings(blob: np.ndarray, offsets: np.ndarray, path: str | Path) -> l
 
 
 def stack_store(store: EmbeddingStore, dtype) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """(all token rows cast to dtype, int64 token offsets, doc ids) in ingestion order."""
+    """(all token rows cast to dtype, int64 token offsets, doc ids) in ingestion order;
+    EmptyStore for a store without documents, FormatError for a document without rows."""
+    if len(store) == 0:
+        raise EmptyStore("cannot index an empty store")
     matrices = list(store.entries.values())
     offsets = np.cumsum([0] + [m.shape[0] for m in matrices], dtype=np.int64)
+    empty = np.flatnonzero(offsets[1:] == offsets[:-1])
+    if empty.size:
+        raise FormatError(f"document {store.doc_ids[empty[0]]!r} has zero tokens")
     return np.vstack(matrices, dtype=dtype), offsets, store.doc_ids
 
 
@@ -360,7 +437,9 @@ def save_store(store: EmbeddingStore, directory: str | Path) -> None:
 def load_store(directory: str | Path) -> EmbeddingStore:
     """Load a store persisted by save_store. Values are trusted as normalized."""
     directory = Path(directory)
-    meta = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    keys = {"dim": int, "precision": str, "entry_count": int, "corpus": str, "created": str,
+            "kind": str}
+    meta = read_json(directory / "manifest.json", keys)
     dim, precision, raw = read_embedding_file(directory / "embeddings.bin")
     if dim != meta["dim"] or precision != meta["precision"]:
         raise FormatError(f"{directory}: manifest disagrees with embeddings.bin")
@@ -377,22 +456,14 @@ def read_corpus_jsonl(path: str | Path) -> list[CorpusRecord]:
     """Read a JSONL corpus; ids must be non-empty and unique."""
     records: list[CorpusRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise ParseError("expected object with 'id' and 'text'", lineno)
-            doc_id = str(obj["id"])
-            if not doc_id:
-                raise ParseError("empty id", lineno)
-            if doc_id in seen:
-                raise DuplicateDocId(f"duplicate id {doc_id!r} at line {lineno}")
-            seen.add(doc_id)
-            records.append(CorpusRecord(id=doc_id, text=str(obj["text"])))
+    for lineno, obj in read_jsonl(path):
+        if "id" not in obj or "text" not in obj:
+            raise ParseError("expected object with 'id' and 'text'", lineno)
+        doc_id = str(obj["id"])
+        if not doc_id:
+            raise ParseError("empty id", lineno)
+        if doc_id in seen:
+            raise DuplicateDocId(f"duplicate id {doc_id!r} at line {lineno}")
+        seen.add(doc_id)
+        records.append(CorpusRecord(id=doc_id, text=str(obj["text"])))
     return records

@@ -69,6 +69,22 @@ def random_store(
     return store_from_matrices(matrices, precision=precision, kind=kind)
 
 
+def store_with_empty_doc(rng: np.random.Generator, dim: int = 8) -> EmbeddingStore:
+    """An in-memory store whose documents have 3, 2 and 0 rows, the empty one last."""
+    entries = {"a": unit_rows(rng, 3, dim), "b": unit_rows(rng, 2, dim), "c": np.zeros((0, dim))}
+    return EmbeddingStore(dim=dim, precision="float32", kind="document",
+                          entries={k: m.astype(np.float32) for k, m in entries.items()},
+                          manifest=StoreManifest("synthetic", "", 3))
+
+
+# queries that search must reject with FormatError
+BAD_QUERIES = {
+    "nan": np.full((2, 8), np.nan),
+    "inf": np.vstack([np.eye(8)[:1], np.full((1, 8), np.inf)]),
+    "zero-rows": np.zeros((0, 8)),
+}
+
+
 def family_corpus(
     rng: np.random.Generator,
     n_docs: int,

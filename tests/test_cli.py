@@ -266,6 +266,30 @@ class TestMiningCli:
         for row in rows:
             assert len(row["bm25_negatives"]) <= 6
 
+    def test_short_bm25_ranking_skipped_not_fatal(self, workspace):
+        idx = workspace / "bm25-idx"
+        run_ok(["bm25", "build", "--corpus", str(workspace / "corpus.jsonl"), "--out", str(idx)])
+        queries = workspace / "queries.jsonl"
+        with open(queries, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "q9", "text": "無関係"}) + "\n")  # matches no document
+        out = workspace / "bm25neg.jsonl"
+        run_ok([
+            "mine", "bm25", "--index", str(idx), "--queries", str(queries),
+            "--positives", str(workspace / "qrels.txt"), "--out", str(out),
+            "--retrieve-depth", "40", "--discard-top", "5", "--samples", "6",
+        ])
+        rows = {row["qid"]: row for row in map(json.loads, out.read_text().splitlines())}
+        assert rows["q9"]["bm25_negatives"] == []
+        assert all(len(rows[f"q{i}"]["bm25_negatives"]) == 6 for i in range(6))
+        scores = workspace / "scores.tsv"
+        scores.write_text("".join(f"q{i}\td{j:02d}\t{j}\n" for i in range(6) for j in range(40)))
+        nway = workspace / "nway.jsonl"
+        run_ok(["nway", "--candidates", str(out), "--scores", str(scores), "--n", "4",
+                "--out", str(nway)])
+        skipped = (workspace / "nway.jsonl.skipped.tsv").read_text().splitlines()
+        assert [line.split("\t")[0] for line in skipped] == ["q9"]
+        assert len(nway.read_text().splitlines()) == 6
+
     def test_nway_from_mined(self, workspace):
         self._dense_run(workspace)
         run_ok([

@@ -20,16 +20,19 @@ from lateir.compressed import (
     train_codebook,
     unpack_codes,
 )
-from lateir.errors import BadCentroidId, DimMismatch, FormatError, InsufficientTokens
+from lateir.errors import BadCentroidId, DimMismatch, EmptyStore, FormatError, InsufficientTokens
 from lateir.exact import build_exact, search_exact
+from lateir.store import EmbeddingStore
 from lateir.scoring import maxsim
 from conftest import (
+    BAD_QUERIES,
     edit_container,
     family_corpus,
     family_queries,
     random_store,
     set_item,
     store_from_matrices,
+    store_with_empty_doc,
     unit_rows,
 )
 
@@ -98,6 +101,22 @@ class TestTrainCodebook:
         store = store_from_matrices({"d": unit_rows(rng, 5, 8)})
         with pytest.raises(InsufficientTokens):
             train_codebook(store, k=6)
+
+    def test_empty_store_rejected(self, rng):
+        empty = EmbeddingStore(dim=8, precision="float32", kind="document", entries={})
+        with pytest.raises(EmptyStore):
+            train_codebook(empty, k=1)
+        codebook = train_codebook(random_store(rng, 4, 8), k=2, iterations=1)
+        with pytest.raises(EmptyStore):
+            compress(empty, codebook)
+
+    def test_zero_row_document_rejected(self, rng):
+        store = store_with_empty_doc(rng)
+        with pytest.raises(FormatError, match="'c' has zero tokens"):
+            train_codebook(store, k=2)
+        codebook = train_codebook(random_store(rng, 4, 8), k=2, iterations=1)
+        with pytest.raises(FormatError, match="'c' has zero tokens"):
+            compress(store, codebook)
 
     def test_centroids_unit(self, rng):
         store = random_store(rng, 50, 16, min_tokens=2, max_tokens=8)
@@ -249,6 +268,12 @@ class TestSearch:
                 k //= 2
         codebook = train_codebook(store, k=k, iterations=4, seed=0)
         return store, compress(store, codebook), identities
+
+    @pytest.mark.parametrize("name", BAD_QUERIES)
+    def test_non_finite_or_empty_query_rejected(self, rng, name):
+        _, index, _ = self._built(rng, n_docs=40, dim=8, tokens=4, k=8)
+        with pytest.raises(FormatError):
+            search_compressed(index, BAD_QUERIES[name], k=1)
 
     def test_exhaustive_limit_equals_exact_over_decompressed(self, rng):
         store, index, _ = self._built(rng)

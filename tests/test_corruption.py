@@ -1,5 +1,7 @@
-"""Damaged index files: every loader fails with an EngineError, never a bare error."""
+"""Damaged index, metadata and text files: every loader fails with an
+EngineError, never a bare error, and the CLI exits 2."""
 
+import json
 import re
 import shutil
 
@@ -7,14 +9,20 @@ import numpy as np
 import pytest
 
 from lateir.bm25 import Tokenizer, build_bm25, load_bm25, save_bm25
+from lateir.cli import main
 from lateir.compressed import compress, load_compressed, save_compressed, train_codebook
-from lateir.errors import EngineError
+from lateir.errors import EngineError, ParseError
+from lateir.evaluation import load_qrels
 from lateir.exact import build_exact, load_exact, save_exact
-from lateir.store import CorpusRecord
+from lateir.mining import TeacherScoreTable, read_negatives_jsonl, read_nway_jsonl
+from lateir.ranking import read_trec_run
+from lateir.store import CorpusRecord, load_store, read_corpus_jsonl, read_rows, save_store
 
 from conftest import random_store
 
-LOADERS = {"exact": load_exact, "compressed": load_compressed, "bm25": load_bm25}
+LOADERS = {
+    "store": load_store, "exact": load_exact, "compressed": load_compressed, "bm25": load_bm25
+}
 FILES = [
     ("exact", "tokens.bin"),
     ("compressed", "codebook.bin"),
@@ -35,6 +43,9 @@ def indexes(tmp_path_factory):
     save_compressed(compress(store, codebook), root / "compressed")
     corpus = [CorpusRecord(doc_id, f"東京 {doc_id} ab cd") for doc_id in store.doc_ids]
     save_bm25(build_bm25(corpus, Tokenizer()), root / "bm25")
+    save_store(store, root / "store")
+    save_store(random_store(rng, 3, 8, kind="query", id_prefix="q"), root / "queries")
+    (root / "queries.jsonl").write_text('{"id": "q0", "text": "東京 ab"}\n', encoding="utf-8")
     return root
 
 
@@ -98,3 +109,192 @@ def test_flipped_bytes(indexes, tmp_path, kind, name):
             LOADERS[kind](work)
         except EngineError:
             pass
+
+
+# --- JSON metadata: a missing key or a truncated file is a FormatError -----
+
+META = {
+    ("store", "manifest.json"): ["corpus", "created", "dim", "entry_count", "kind", "precision"],
+    ("exact", "index-meta.json"): ["dim", "doc_count", "format_version", "mode", "precision",
+                                   "token_count"],
+    ("compressed", "meta.json"): ["dim", "doc_count", "k_centroids", "seed", "token_count"],
+    ("bm25", "meta.json"): ["avgdl", "b", "doc_count", "k1", "lowercase", "scheme", "term_count"],
+}
+
+
+def _reader_argv(indexes, tmp_path, kind, work):
+    """A CLI command that loads the damaged directory `work` of the given kind."""
+    out = str(tmp_path / "out")
+    if kind == "store":
+        return ["index", "--store", str(work), "--out", out]
+    if kind == "bm25":
+        return ["bm25", "search", "--index", str(work), "--queries", str(indexes / "queries.jsonl"),
+                "--out", out]
+    return ["search", "--index", str(work), "--queries", str(indexes / "queries"), "--out", out]
+
+
+def _meta_variants(data: bytes, keys):
+    """The metadata file once without each required key, then cut short."""
+    meta = json.loads(data)
+    for key in keys:
+        yield json.dumps({k: v for k, v in meta.items() if k != key}).encode("utf-8")
+    # a cut that keeps the closing brace leaves valid JSON, so stop before it
+    yield from (data[:cut] for cut in range(len(data) - 2))
+
+
+@pytest.mark.parametrize("kind, name", list(META))
+def test_damaged_metadata(indexes, tmp_path, kind, name):
+    data = (indexes / kind / name).read_bytes()
+    LOADERS[kind](indexes / kind)  # the undamaged directory loads
+    variants = _meta_variants(data, META[kind, name])
+    for work in _damaged_copies(indexes, tmp_path, kind, name, variants):
+        with pytest.raises(EngineError):
+            LOADERS[kind](work)
+
+
+@pytest.mark.parametrize("kind, name", list(META))
+def test_damaged_metadata_cli_exits_2(indexes, tmp_path, kind, name, capsys):
+    data = (indexes / kind / name).read_bytes()
+    keys = META[kind, name]
+    variants = list(_meta_variants(data, keys))[: len(keys)] + [data[: len(data) // 2], b""]
+    for work in _damaged_copies(indexes, tmp_path, kind, name, variants):
+        assert main(_reader_argv(indexes, tmp_path, kind, work)) == 2
+        assert str(work) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, name, key, value",
+    [("exact", "index-meta.json", "dim", "8"), ("exact", "index-meta.json", "doc_count", True),
+     ("compressed", "meta.json", "k_centroids", 8.0), ("bm25", "meta.json", "lowercase", 1),
+     ("bm25", "meta.json", "scheme", "morphemes"), ("store", "manifest.json", "kind", None)],
+)
+def test_mistyped_metadata(indexes, tmp_path, kind, name, key, value):
+    meta = json.loads((indexes / kind / name).read_bytes())
+    variant = json.dumps({**meta, key: value}).encode("utf-8")
+    for work in _damaged_copies(indexes, tmp_path, kind, name, [variant, b"[1, 2]"]):
+        with pytest.raises(EngineError):
+            LOADERS[kind](work)
+
+
+# --- line-oriented text files: ParseError with the bad line's number --------
+
+# each text file's reader and a well-formed line for row i
+TEXT_FILES = {
+    "corpus": (read_corpus_jsonl, '{{"id": "d{i}", "text": "東京 {i}"}}'),
+    "run": (read_trec_run, "q1 Q0 d{i} {i} 0.{i} t"),
+    "qrels": (load_qrels, "q1 0 d{i} 1"),
+    "scores": (TeacherScoreTable.from_tsv, "q1\td{i}\t0.{i}"),
+    "pairs": (lambda path: list(read_rows(path, 2, sep="\t")), "q0\td{i}"),
+    "negatives": (read_negatives_jsonl,
+                  '{{"qid": "q1", "positives": ["d1"], "dense_negatives": ["d{i}"], "seed": 1}}'),
+    "nway": (read_nway_jsonl,
+             '{{"qid": "q{i}", "passages": ["d{i}", "x{i}"], "scores": [1.0, 0.{i}]}}'),
+}
+# invalid JSON; a line that is not an object; a missing or mistyped field;
+# a wrong field count; a non-numeric rank, grade or score
+NOT_OBJECTS = ["[1, 2]", '"q1"', "3.5"]
+BAD_LINES = {
+    "corpus": ['{"id": "x", "text": ', *NOT_OBJECTS, '{"id": "x"}', '{"text": "t"}'],
+    "run": ["q1 Q0 x 9 0.5", "q1 Q0 x 9 0.5 t extra", "q1 Q0 x nine 0.5 t", "q1 Q0 x 9 high t"],
+    "qrels": ["q1 0 x", "q1 0 x 1 extra", "q1 0 x high", "q1 0 x 1.5"],
+    "scores": ["q1\tx", "q1\tx\t0.5\textra", "q1\tx\thigh", "q1 x 0.5"],
+    "pairs": ["q0\tx\textra", "q0", "q0 x"],
+    "negatives": [
+        '{"qid": ', *NOT_OBJECTS, '{"positives": ["d1"]}', '{"qid": 7}',
+        '{"qid": "q9", "positives": 5}', '{"qid": "q9", "bm25_negatives": "d1"}',
+        '{"qid": "q9", "dense_negatives": [1, 2]}',
+    ],
+    "nway": [
+        "{", *NOT_OBJECTS, '{"qid": "q9", "passages": ["a", "b"]}',
+        '{"qid": "q9", "passages": 5, "scores": [1.0]}',
+        '{"qid": "q9", "passages": "ab", "scores": [1, 2]}',
+        '{"qid": "q9", "passages": ["a", "b"], "scores": [1.0, "high"]}',
+        '{"qid": "q9", "passages": ["a", "a"], "scores": [1.0, 2.0]}',
+    ],
+}
+
+
+def write_text_file(path, kind, line3):
+    """Line 1 well-formed, line 2 blank, line 3 as given, line 4 well-formed."""
+    good = TEXT_FILES[kind][1]
+    lines = [good.format(i=1), "", line3, good.format(i=4)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("kind", TEXT_FILES)
+def test_text_file_well_formed(tmp_path, kind):
+    reader, good = TEXT_FILES[kind]
+    rows = reader(write_text_file(tmp_path / "f", kind, good.format(i=3)))
+    assert len(rows) == (1 if kind in ("run", "qrels") else 3)  # run and qrels group by query
+
+
+@pytest.mark.parametrize("kind, bad", [(k, bad) for k, bads in BAD_LINES.items() for bad in bads])
+def test_malformed_text_line(tmp_path, kind, bad):
+    with pytest.raises(ParseError) as info:
+        TEXT_FILES[kind][0](write_text_file(tmp_path / "f", kind, bad))
+    assert info.value.line == 3
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """Well-formed inputs for every CLI stage that reads a text file."""
+    root = tmp_path_factory.mktemp("stage-inputs")
+    rng = np.random.default_rng(3)
+    save_store(random_store(rng, 5, 8, id_prefix="d"), root / "docs")
+    save_store(random_store(rng, 2, 8, kind="query", id_prefix="q"), root / "queries")
+    for kind, (_, good) in TEXT_FILES.items():
+        write_text_file(root / kind, kind, good.format(i=3))
+    return root
+
+
+def stage_argv(stage, f):
+    """The CLI command for a stage, reading the inputs named in `f`."""
+    return {
+        "score": ["score", "--query-store", f["queries"], "--doc-store", f["docs"],
+                  "--pairs", f["pairs"], "--out", f["out"]],
+        "transpose": ["transpose", "--scores", f["scores"], "--pairs", f["pairs"],
+                      "--out", f["out"], "--dropped", f["out"] + ".dropped"],
+        "mine-dense": ["mine", "dense", "--runs", f["run"], "--positives", f["qrels"],
+                       "--out", f["out"]],
+        "nway": ["nway", "--candidates", f["negatives"], "--scores", f["scores"], "--n", "2",
+                 "--out", f["out"]],
+        "eval": ["eval", "--run", f["run"], "--qrels", f["qrels"], "--metric", "ndcg@10",
+                 "--out", f["out"]],
+    }[stage]
+
+
+STAGE_INPUTS = {
+    "score": ["pairs"], "transpose": ["scores", "pairs"], "mine-dense": ["run", "qrels"],
+    "nway": ["negatives", "scores"], "eval": ["run", "qrels"],
+}
+
+
+def _files(stage_inputs, tmp_path):
+    return {p.name: str(p) for p in stage_inputs.iterdir()} | {"out": str(tmp_path / "out")}
+
+
+@pytest.mark.parametrize("stage", STAGE_INPUTS)
+def test_stage_accepts_inputs(stage_inputs, tmp_path, stage):
+    assert main(stage_argv(stage, _files(stage_inputs, tmp_path))) == 0
+
+
+@pytest.mark.parametrize(
+    "stage, kind, bad",
+    [(stage, kind, bad) for stage, kinds in STAGE_INPUTS.items() for kind in kinds
+     for bad in BAD_LINES[kind]],
+)
+def test_stage_rejects_malformed_line(stage_inputs, tmp_path, capsys, stage, kind, bad):
+    files = _files(stage_inputs, tmp_path)
+    files[kind] = str(write_text_file(tmp_path / kind, kind, bad))
+    assert main(stage_argv(stage, files)) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_keep_file_takes_one_id_per_line(stage_inputs, tmp_path, capsys):
+    argv = stage_argv("nway", _files(stage_inputs, tmp_path)) + ["--keep", str(tmp_path / "keep")]
+    (tmp_path / "keep").write_text("d3\n\n  d4 \n", encoding="utf-8")
+    assert main(argv) == 0
+    (tmp_path / "keep").write_text("d3\n\nd4 d1\n", encoding="utf-8")
+    assert main(argv) == 2
+    assert "line 3" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from lateir.exact import build_exact, load_exact, save_exact, search_exact
 from lateir.scoring import maxsim
 from lateir.store import EmbeddingStore, StoreManifest
 
-from conftest import random_store, store_from_matrices, unit_rows
+from conftest import BAD_QUERIES, random_store, store_from_matrices, store_with_empty_doc, unit_rows
 
 
 def brute_force_rank(store, q, k=None):
@@ -44,6 +44,10 @@ class TestBuild:
         )
         with pytest.raises(EmptyStore):
             build_exact(empty, "float32")
+
+    def test_zero_row_document_rejected(self, rng):
+        with pytest.raises(FormatError, match="'c' has zero tokens"):
+            build_exact(store_with_empty_doc(rng))
 
     def test_precision_cast(self, rng):
         store = random_store(rng, 4, 8, precision="float32")
@@ -123,6 +127,12 @@ class TestSearch:
         index = build_exact(random_store(rng, 3, 8), "float32")
         with pytest.raises(DimMismatch):
             search_exact(index, unit_rows(rng, 2, 16), k=1)
+
+    @pytest.mark.parametrize("name", BAD_QUERIES)
+    def test_non_finite_or_empty_query_rejected(self, rng, name):
+        index = build_exact(random_store(rng, 3, 8), "float32")
+        with pytest.raises(FormatError):
+            search_exact(index, BAD_QUERIES[name], k=1)
 
     def test_k_validated(self, rng):
         index = build_exact(random_store(rng, 3, 8), "float32")

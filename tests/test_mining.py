@@ -124,6 +124,13 @@ class TestMineDense:
             mine_dense(["q0", "q9"], {"q0": ranking(110)}, {}, MiningConfig())
         assert info.value.query_id == "q9"
 
+    def test_short_run_gets_no_negatives(self):
+        runs = {"q0": ranking(110, "q0"), "q1": ranking(10, "q1"), "q2": RankedList("q2")}
+        got = mine_dense(runs.keys(), runs, {}, MiningConfig(seed=5))
+        assert got["q1"] == [] and got["q2"] == []
+        assert got["q0"] == mine_dense(["q0"], runs, {}, MiningConfig(seed=5))["q0"]
+        assert len(got["q0"]) == 25
+
     def test_positive_never_sampled_over_seeds(self):
         runs = {"q0": ranking(110, "q0")}
         positives = {"q0": {"r015", "r042"}}
@@ -158,6 +165,14 @@ class TestMineBM25:
         queries = {"q0": "top xx", "q1": "xx"}
         cfg = MiningConfig(seed=4)
         assert mine_bm25(queries, index, {}, cfg) == mine_bm25(queries, index, {}, cfg)
+
+    def test_short_ranking_gets_no_negatives(self):
+        # "rare" is in 5 of 300 documents: too few to survive the discard window
+        corpus = [CorpusRecord(f"r{i:03d}", "xx rare" if i < 5 else "xx") for i in range(300)]
+        index = build_bm25(corpus, Tokenizer("whitespace"))
+        got = mine_bm25({"q0": "rare", "q1": "xx"}, index, {}, MiningConfig(seed=0))
+        assert got["q0"] == []
+        assert len(got["q1"]) == 10
 
     def test_excludes_top_lexical_matches(self):
         index = self._index()

@@ -1,5 +1,6 @@
 """Embedding store: normalization, binary format, precision casts."""
 
+import json
 import struct
 
 import numpy as np
@@ -7,9 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lateir.errors import DuplicateDocId, FormatError, LengthError, ParseError, ZeroVectorRow
+import lateir.store
+from lateir.errors import (
+    DuplicateDocId,
+    EmptyStore,
+    FormatError,
+    LengthError,
+    ParseError,
+    ZeroVectorRow,
+)
 from lateir.store import (
     EMBEDDING_MAGIC,
+    EmbeddingStore,
     cast_precision,
     ingest_embeddings,
     load_store,
@@ -18,13 +28,20 @@ from lateir.store import (
     read_arrays,
     read_corpus_jsonl,
     read_embedding_file,
+    read_json,
+    read_jsonl,
+    read_rows,
     save_store,
+    stack_store,
     unpack_strings,
     write_arrays,
     write_embedding_file,
+    write_json,
+    write_jsonl,
+    write_rows,
 )
 
-from conftest import unit_rows
+from conftest import store_with_empty_doc, unit_rows
 
 
 def scalar_norm(row):
@@ -293,6 +310,114 @@ class TestCorpusJsonl:
         path.write_text('{"id": "", "text": "x"}\n')
         with pytest.raises(ParseError):
             read_corpus_jsonl(path)
+
+
+class TestTextLines:
+    def test_whitespace_rows_skip_blank_lines(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("a b\n\n   \t \nc  d\n", encoding="utf-8")
+        assert list(read_rows(path, 2)) == [(1, ["a", "b"]), (4, ["c", "d"])]
+
+    def test_tab_rows_skip_only_empty_lines(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("q1\td 1\n\nq2\t\n", encoding="utf-8")
+        assert list(read_rows(path, 2, sep="\t")) == [(1, ["q1", "d 1"]), (3, ["q2", ""])]
+        path.write_text("q1\td1\n \n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            list(read_rows(path, 2, sep="\t"))
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize(
+        "sep, line",
+        [(None, "a b c"), (None, "a"), ("\t", "a\tb\tc"), ("\t", "a b"), ("\t", "a\tb\t")],
+    )
+    def test_wrong_field_count(self, tmp_path, sep, line):
+        path = tmp_path / "rows.txt"
+        path.write_text(f"x{sep or ' '}y\n{line}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="expected 2 fields") as info:
+            list(read_rows(path, 2, sep=sep))
+        assert info.value.line == 2
+
+    def test_jsonl_skips_whitespace_lines(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n  \n\t\n {"b": [2]} \n', encoding="utf-8")
+        assert list(read_jsonl(path)) == [(1, {"a": 1}), (4, {"b": [2]})]
+
+    @pytest.mark.parametrize("line", ["{", "[1]", '"s"', "3", "null", "true"])
+    def test_jsonl_line_must_be_an_object(self, tmp_path, line):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"a": 1}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            list(read_jsonl(path))
+        assert info.value.line == 2
+
+    def test_writers(self, tmp_path):
+        assert write_jsonl(tmp_path / "x.jsonl", [{"id": "東京", "n": [1.5]}, {}]) == 2
+        written = (tmp_path / "x.jsonl").read_text(encoding="utf-8")
+        assert written == '{"id": "東京", "n": [1.5]}\n{}\n'
+        write_rows(tmp_path / "x.tsv", [("q1", "d1", "0.5"), ["q2", "東"]])
+        assert (tmp_path / "x.tsv").read_text(encoding="utf-8") == "q1\td1\t0.5\nq2\t東\n"
+        assert next(read_rows(tmp_path / "x.tsv", 3, sep="\t")) == (1, ["q1", "d1", "0.5"])
+
+
+class TestMetadataJson:
+    KEYS = {"dim": int, "name": str, "flag": bool, "avg": (int, float)}
+
+    def test_round_trip(self, tmp_path):
+        meta = {"dim": 8, "name": "x", "flag": False, "avg": 2, "extra": None}
+        write_json(tmp_path / "m.json", meta)
+        assert read_json(tmp_path / "m.json", self.KEYS) == meta
+        written = (tmp_path / "m.json").read_text()
+        assert written == json.dumps(meta, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"name": "x", "flag": true, "avg": 1.5}',
+            '{"dim": "8", "name": "x", "flag": true, "avg": 1}',
+            '{"dim": true, "name": "x", "flag": true, "avg": 1}',
+            '{"dim": 8, "name": "x", "flag": 1, "avg": 1}',
+            '{"dim": 8, "name": "x", "flag": true, "avg": false}',
+            '{"dim": 8, "name": null, "flag": true, "avg": 1}',
+            "[8]", '{"dim": 8', "", "\xff",
+        ],
+    )
+    def test_rejected(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(FormatError, match="m.json"):
+            read_json(path, self.KEYS)
+
+    def test_write_replaces_atomically(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.json"
+        write_json(path, {"a": 1})
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(lateir.store.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            write_json(path, {"a": 2})
+        assert json.loads(path.read_text()) == {"a": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+class TestStackStore:
+    def test_layout(self, rng):
+        store = store_with_empty_doc(rng)
+        del store.entries["c"]
+        tokens, offsets, ids = stack_store(store, np.float16)
+        assert tokens.dtype == np.float16 and tokens.shape == (5, 8)
+        assert offsets.tolist() == [0, 3, 5] and ids == ["a", "b"]
+
+    def test_empty_store(self):
+        with pytest.raises(EmptyStore):
+            empty = EmbeddingStore(dim=8, precision="float32", kind="document", entries={})
+            stack_store(empty, np.float32)
+
+    def test_zero_row_document(self, rng):
+        with pytest.raises(FormatError, match="'c' has zero tokens"):
+            stack_store(store_with_empty_doc(rng), np.float32)
 
 
 class TestArrayContainer:
