@@ -13,8 +13,8 @@ non-negative.  Repeated query tokens contribute once per occurrence.
 
 Index directory layout: ``postings.bin`` (array container, magic LIBP:
 sorted terms, int64 posting offsets, doc indexes, term frequencies),
-``doclens.bin`` (magic LIDL: doc ids, int64 lengths), ``meta.json``
-(tokenizer scheme, parameters, counts).
+``doclens.bin`` (magic LIDL: doc ids, int64 lengths), ``meta.json`` (mode
+``bm25``, see ``store.save_index``; tokenizer scheme, parameters, counts).
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ import numpy as np
 
 from .errors import ConfigError, DuplicateDocId
 from .ranking import RankedList, ranked_from_scores
-from .store import CorpusRecord, check_format, check_offsets, pack_strings, read_arrays
-from .store import read_json, unpack_strings, write_arrays, write_json
+from .store import INDEX_FORMAT_VERSION, CorpusRecord, check_format, check_offsets
+from .store import pack_strings, read_arrays, read_index_meta, save_index, unpack_strings
 
 POSTINGS_MAGIC = b"LIBP"
 DOCLENS_MAGIC = b"LIDL"
-BM25_FORMAT_VERSION = 2
 
 SCHEMES = ("char_bigram", "char_unigram", "whitespace")
 
@@ -157,19 +156,15 @@ def search_bm25(
 
 
 def save_bm25(index: BM25Index, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     terms = sorted(index.postings)
     docs, tfs = zip(*(index.postings[term] for term in terms)) if terms else ((), ())
     counts = [0] + [d.size for d in docs]
     postings = [*pack_strings(terms), np.cumsum(counts, dtype=np.int64),
                 np.concatenate([np.zeros(0, np.int64), *docs]),
                 np.concatenate([np.zeros(0, np.int64), *tfs])]
-    write_arrays(directory / "postings.bin", POSTINGS_MAGIC, BM25_FORMAT_VERSION, postings)
     doclens = [*pack_strings(index.doc_ids), index.doc_lengths]
-    write_arrays(directory / "doclens.bin", DOCLENS_MAGIC, BM25_FORMAT_VERSION, doclens)
     meta = {
-        "format_version": BM25_FORMAT_VERSION,
+        "mode": "bm25",
         "scheme": index.tokenizer.scheme,
         "lowercase": index.tokenizer.lowercase,
         "k1": index.k1,
@@ -178,7 +173,8 @@ def save_bm25(index: BM25Index, directory: str | Path) -> None:
         "term_count": len(index.postings),
         "avgdl": index.avgdl,
     }
-    write_json(directory / "meta.json", meta)
+    files = {"postings.bin": (POSTINGS_MAGIC, postings), "doclens.bin": (DOCLENS_MAGIC, doclens)}
+    save_index(directory, meta, files)
 
 
 def load_bm25(directory: str | Path) -> BM25Index:
@@ -186,14 +182,14 @@ def load_bm25(directory: str | Path) -> BM25Index:
     number = (int, float)
     keys = {"scheme": str, "lowercase": bool, "doc_count": int, "term_count": int,
             "k1": number, "b": number, "avgdl": number}
-    meta = read_json(directory / "meta.json", keys)
+    meta = read_index_meta(directory, "bm25", keys)
     check_format(meta["scheme"] in SCHEMES, directory, f"unknown tokenizer {meta['scheme']!r}")
     tokenizer = Tokenizer(scheme=meta["scheme"], lowercase=meta["lowercase"])
     n_docs, n_terms = meta["doc_count"], meta["term_count"]
 
     path = directory / "doclens.bin"
     id_blob, id_offsets, doc_lengths = read_arrays(
-        path, DOCLENS_MAGIC, BM25_FORMAT_VERSION, ["u1", "<i8", "<i8"]
+        path, DOCLENS_MAGIC, INDEX_FORMAT_VERSION, ["u1", "<i8", "<i8"]
     )
     doc_ids = unpack_strings(id_blob, id_offsets, path)
     shapes = (len(doc_ids), doc_lengths.shape)
@@ -201,7 +197,7 @@ def load_bm25(directory: str | Path) -> BM25Index:
 
     path = directory / "postings.bin"
     term_blob, term_offsets, bounds, docs, tfs = read_arrays(
-        path, POSTINGS_MAGIC, BM25_FORMAT_VERSION, ["u1", "<i8", "<i8", "<i8", "<i8"]
+        path, POSTINGS_MAGIC, INDEX_FORMAT_VERSION, ["u1", "<i8", "<i8", "<i8", "<i8"]
     )
     terms = unpack_strings(term_blob, term_offsets, path)
     shapes = (len(terms), bounds.shape, docs.shape, tfs.shape)

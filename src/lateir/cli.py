@@ -25,12 +25,11 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import __version__
-from .bm25 import BM25_FORMAT_VERSION, Tokenizer, build_bm25, load_bm25, save_bm25, search_bm25
+from .bm25 import Tokenizer, build_bm25, load_bm25, save_bm25, search_bm25
 from .compressed import (
     DEFAULT_CANDIDATE_CAP,
     DEFAULT_ITERATIONS,
     DEFAULT_NPROBE,
-    INDEX_FORMAT_VERSION,
     compress,
     default_centroid_count,
     load_compressed,
@@ -45,7 +44,7 @@ from .errors import (
     MissingTeacherScore,
 )
 from .evaluation import MetricSpec, evaluate, load_qrels
-from .exact import EXACT_META_NAME, build_exact, load_exact, save_exact, search_exact
+from .exact import build_exact, load_exact, save_exact, search_exact
 from .mining import (
     DEFAULT_NWAY,
     NEGATIVE_KEYS,
@@ -60,12 +59,11 @@ from .mining import (
 )
 from .ranking import run_lists_from_trec, write_trec_run
 from .scoring import maxsim
-from .store import EMBEDDING_FORMAT_VERSION, ingest_embeddings, load_store, read_corpus_jsonl
-from .store import read_rows, save_store, write_json, write_jsonl, write_rows
+from .store import EMBEDDING_FORMAT_VERSION, INDEX_FORMAT_VERSION, index_mode, ingest_embeddings
+from .store import load_store, read_corpus_jsonl, read_rows, save_store, write_json, write_jsonl
+from .store import write_rows
 
-FORMAT_VERSIONS = {
-    "embedding": EMBEDDING_FORMAT_VERSION, "index": INDEX_FORMAT_VERSION, "bm25": BM25_FORMAT_VERSION
-}
+FORMAT_VERSIONS = {"embedding": EMBEDDING_FORMAT_VERSION, "index": INDEX_FORMAT_VERSION}
 
 
 @dataclass(frozen=True)
@@ -93,10 +91,12 @@ def _sha256_file(path: Path) -> str:
 
 
 def _sha256_path(path: Path) -> str:
-    """Content hash of a file, or of a directory's files by sorted name."""
+    """Content hash of a file, or of a directory's files by sorted name, leaving out
+    run-manifest.json, which records the paths the directory was built from."""
     if path.is_dir():
         digest = hashlib.sha256()
-        for child in sorted(p for p in path.rglob("*") if p.is_file()):
+        files = (p for p in path.rglob("*") if p.is_file() and p.name != "run-manifest.json")
+        for child in sorted(files):
             digest.update(child.relative_to(path).as_posix().encode("utf-8"))
             digest.update(bytes.fromhex(_sha256_file(child)))
         return digest.hexdigest()
@@ -226,17 +226,11 @@ def cmd_index(o: dict) -> int:
     return 0
 
 
-def _detect_mode(index_dir: Path) -> str:
-    if (index_dir / "codebook.bin").exists():
-        return "compressed"
-    if (index_dir / EXACT_META_NAME).exists():
-        return "exact"
-    raise ConfigError(f"{index_dir} does not contain a recognizable index")
-
-
 def cmd_search(o: dict) -> int:
     index_dir = Path(o["index"])
-    mode = o["mode"] if o["mode"] != "auto" else _detect_mode(index_dir)
+    mode = index_mode(index_dir)
+    if mode == "bm25":
+        raise ConfigError(f"{index_dir} is a BM25 index; search it with `lateir bm25 search`")
     queries = load_store(o["queries"])
     if mode == "exact":
         index, search, options = load_exact(index_dir), search_exact, {}
@@ -261,25 +255,24 @@ def cmd_search(o: dict) -> int:
 def cmd_score(o: dict) -> int:
     query_store = load_store(o["query_store"])
     doc_store = load_store(o["doc_store"])
-    lines = []
+    rows = []
     for lineno, (qid, did) in read_rows(o["pairs"], 2, sep="\t"):
         if qid not in query_store.entries:
             raise ConfigError(f"{o['pairs']}:{lineno}: unknown query id {qid!r}")
         if did not in doc_store.entries:
             raise ConfigError(f"{o['pairs']}:{lineno}: unknown document id {did!r}")
-        score = maxsim(query_store.entries[qid], doc_store.entries[did])
-        lines.append(f"{qid}\t{did}\t{score!r}\n")
+        rows.append((qid, did, repr(maxsim(query_store.entries[qid], doc_store.entries[did]))))
     if o["out"]:
-        Path(o["out"]).write_text("".join(lines), encoding="utf-8")
+        write_rows(o["out"], rows)
         _write_manifest(
             Path(o["out"]),
             "score",
             {"query-store": o["query_store"], "doc-store": o["doc_store"], "pairs": o["pairs"]},
-            {"pairs_scored": len(lines), "similarity": "maxsim, float64 accumulation"},
+            {"pairs_scored": len(rows), "similarity": "maxsim, float64 accumulation"},
         )
-        _say(f"scored {len(lines)} pairs into {o['out']}")
+        _say(f"scored {len(rows)} pairs into {o['out']}")
     else:
-        sys.stdout.write("".join(lines))
+        sys.stdout.writelines("\t".join(row) + "\n" for row in rows)
     return 0
 
 
@@ -485,7 +478,6 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
             Opt("queries", required=True, help="query store directory"),
             Opt("k", type=int, default=10),
             Opt("out", required=True, help="output TREC run file"),
-            Opt("mode", choices=("auto", "exact", "compressed"), default="auto"),
             Opt("nprobe", type=int, default=DEFAULT_NPROBE),
             Opt("candidate-cap", type=int, default=DEFAULT_CANDIDATE_CAP),
             Opt("run-tag", default="lateir"),

@@ -25,7 +25,8 @@ Index directory layout (array containers, see ``store.write_arrays``)::
                    float32 bucket values | doc ids | (n_docs + 1,) int64 token
                    offsets | uint32 centroid id and ceil(dim/4) packed code
                    bytes per token
-    meta.json      parameters, seed, counts
+    meta.json      mode ``compressed`` (see ``store.save_index``), parameters,
+                   seed, counts
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ import numpy as np
 from .errors import BadCentroidId, DimMismatch, InsufficientTokens
 from .ranking import RankedList, ranked_from_scores
 from .scoring import check_query
-from .store import EmbeddingStore, check_format, check_offsets, pack_strings, read_arrays
-from .store import read_json, stack_store, unpack_strings, write_arrays, write_json
+from .store import INDEX_FORMAT_VERSION, EmbeddingStore, check_format, check_offsets, pack_strings
+from .store import read_arrays, read_index_meta, save_index, stack_store, unpack_strings
 
 CODEBOOK_MAGIC = b"LICB"
 RESIDUAL_MAGIC = b"LIRC"
-INDEX_FORMAT_VERSION = 2
 
 DEFAULT_NPROBE = 4
 DEFAULT_CANDIDATE_CAP = 8192
@@ -344,30 +344,20 @@ def search_compressed(
 
 
 def save_compressed(index: CompressedIndex, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    centroids = [index.codebook.centroids]
-    write_arrays(directory / "codebook.bin", CODEBOOK_MAGIC, INDEX_FORMAT_VERSION, centroids)
-    arrays = [index.codec.cutoffs, index.codec.values, *pack_strings(index.doc_ids),
-              index.offsets, index.centroid_ids, index.packed_codes]
-    write_arrays(directory / "residuals.bin", RESIDUAL_MAGIC, INDEX_FORMAT_VERSION, arrays)
-    meta = dict(index.params)
-    meta.update(
-        {
-            "format_version": INDEX_FORMAT_VERSION,
-            "mode": "compressed",
-            "doc_count": index.n_docs,
-            "token_count": index.total_tokens,
-        }
-    )
-    write_json(directory / "meta.json", meta)
+    meta = {**index.params, "mode": "compressed", "doc_count": index.n_docs,
+            "token_count": index.total_tokens}
+    residuals = [index.codec.cutoffs, index.codec.values, *pack_strings(index.doc_ids),
+                 index.offsets, index.centroid_ids, index.packed_codes]
+    files = {"codebook.bin": (CODEBOOK_MAGIC, [index.codebook.centroids]),
+             "residuals.bin": (RESIDUAL_MAGIC, residuals)}
+    save_index(directory, meta, files)
 
 
 def load_compressed(directory: str | Path) -> CompressedIndex:
     """Load an index, checking every array against meta.json before search uses it."""
     directory = Path(directory)
     keys = {"k_centroids": int, "dim": int, "doc_count": int, "token_count": int, "seed": int}
-    meta = read_json(directory / "meta.json", keys)
+    meta = read_index_meta(directory, "compressed", keys)
     k, dim, n_docs, total = (meta[key] for key in ("k_centroids", "dim", "doc_count", "token_count"))
 
     path = directory / "codebook.bin"

@@ -5,8 +5,9 @@ float16) plus per-document offsets.  A search scores every document:
 similarities are computed in float64 regardless of storage precision, so
 16-bit storage only affects the vectors, never the arithmetic.
 
-Index directory layout: ``index-meta.json`` and ``tokens.bin``, an array
-container (magic LIEX) of doc ids, int64 token offsets and the token rows.
+Index directory layout: ``meta.json`` (mode ``exact``, see ``store.save_index``)
+and ``tokens.bin``, an array container (magic LIEX) of doc ids, int64 token
+offsets and the token rows.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .compressed import INDEX_FORMAT_VERSION
 from .ranking import RankedList, ranked_from_scores
 from .scoring import check_query
-from .store import PRECISION_DTYPES, EmbeddingStore, check_format, check_offsets, stack_store
-from .store import pack_strings, read_arrays, read_json, unpack_strings, write_arrays, write_json
+from .store import INDEX_FORMAT_VERSION, PRECISION_DTYPES, EmbeddingStore, check_format
+from .store import check_offsets, pack_strings, read_arrays, read_index_meta, save_index
+from .store import stack_store, unpack_strings
 
-EXACT_META_NAME = "index-meta.json"
 EXACT_MAGIC = b"LIEX"
 
 
@@ -67,28 +67,21 @@ def search_exact(
 
 
 def save_exact(index: ExactIndex, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    arrays = [*pack_strings(index.doc_ids), index.offsets, index.tokens]
-    write_arrays(directory / "tokens.bin", EXACT_MAGIC, INDEX_FORMAT_VERSION, arrays)
     meta = {
         "mode": "exact",
         "dim": index.dim,
         "precision": index.precision,
         "doc_count": index.n_docs,
         "token_count": int(index.offsets[-1]),
-        "format_version": INDEX_FORMAT_VERSION,
     }
-    write_json(directory / EXACT_META_NAME, meta)
+    arrays = [*pack_strings(index.doc_ids), index.offsets, index.tokens]
+    save_index(directory, meta, {"tokens.bin": (EXACT_MAGIC, arrays)})
 
 
 def load_exact(directory: str | Path) -> ExactIndex:
     directory = Path(directory)
-    keys = {"mode": str, "format_version": int, "precision": str, "doc_count": int,
-            "token_count": int, "dim": int}
-    meta = read_json(directory / EXACT_META_NAME, keys)
-    check_format(meta["mode"] == "exact", directory, "not an exact index")
-    check_format(meta["format_version"] == INDEX_FORMAT_VERSION, directory, "rebuild the index")
+    keys = {"precision": str, "doc_count": int, "token_count": int, "dim": int}
+    meta = read_index_meta(directory, "exact", keys)
     path, precision, n_docs = directory / "tokens.bin", meta["precision"], meta["doc_count"]
     check_format(precision in PRECISION_DTYPES, path, f"unknown precision {precision!r}")
     dtypes = ["u1", "<i8", "<i8", PRECISION_DTYPES[precision]]
@@ -96,7 +89,7 @@ def load_exact(directory: str | Path) -> ExactIndex:
     doc_ids = unpack_strings(id_blob, id_offsets, path)
     shapes = (len(doc_ids), offsets.shape, tokens.shape)
     want = (n_docs, (n_docs + 1,), (meta["token_count"], meta["dim"]))
-    check_format(shapes == want, path, f"shapes {shapes} disagree with {EXACT_META_NAME} {want}")
+    check_format(shapes == want, path, f"shapes {shapes} disagree with meta.json {want}")
     check_offsets(offsets, len(tokens), path, "token offsets", min_step=1)
     return ExactIndex(
         dim=meta["dim"], precision=precision, doc_ids=doc_ids, tokens=tokens, offsets=offsets

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ParseError
-from .store import read_rows
+from .store import _replacing, read_rows
 
 
 @dataclass
@@ -50,7 +50,7 @@ def ranked_from_scores(
 
 
 def write_trec_run(path: str | Path, runs: Iterable[RankedList], tag: str = "lateir") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path, text=True) as fh:
         for run in runs:
             for rank, (doc_id, score) in enumerate(run.entries, start=1):
                 fh.write(f"{run.query_id} Q0 {doc_id} {rank} {score!r} {tag}\n")

@@ -13,17 +13,19 @@ Embedding file format (little-endian throughout)::
 A persisted store is a directory holding ``embeddings.bin`` in that format
 plus ``manifest.json``.
 
+An index directory holds array containers plus ``meta.json``, which records
+its ``mode`` and ``format_version`` (``save_index`` / ``read_index_meta``).
 Every index file is an array container: magic (4 bytes) | u32 format
 version | u32 array count, then one ``.npy`` record per array.
 Strings are stored as a UTF-8 blob (uint8) plus int64 byte offsets.
-Containers and JSON metadata are written to a temporary sibling, then
-renamed; ``read_json`` checks each metadata key's JSON type.
+Containers, JSON metadata and text outputs are written to a temporary
+sibling, then renamed; ``read_json`` checks each metadata key's JSON type.
 
 Every line-oriented text file (runs, qrels, pairs, teacher scores, corpus,
 negatives and n-way JSONL) is read by ``read_rows`` or ``read_jsonl`` and
-written by ``write_rows`` or ``write_jsonl``; a malformed line raises
-ParseError with its line number.  Corpus files are JSONL with one
-``{"id": ..., "text": ...}`` object per line.
+written by ``write_rows`` or ``write_jsonl``; a malformed line, invalid
+UTF-8 included, raises ParseError with its line number.  Corpus files are
+JSONL with one ``{"id": ..., "text": ...}`` object per line.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 import tokenize
 from contextlib import contextmanager
@@ -45,6 +48,7 @@ from .errors import DuplicateDocId, EmptyStore, FormatError, LengthError, ParseE
 
 EMBEDDING_MAGIC = b"LIEM"
 EMBEDDING_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 3
 _HEADER = struct.Struct("<4sIIBQ")
 _ARRAYS_HEADER = struct.Struct("<4sII")
 
@@ -211,12 +215,12 @@ def read_embedding_file(path: str | Path) -> tuple[int, str, list[tuple[str, np.
 
 
 @contextmanager
-def _replacing(path: str | Path):
-    """A binary file handle on a temporary sibling that is renamed over path on
-    success, so a write that fails part way leaves any previous file intact."""
+def _replacing(path: str | Path, text: bool = False):
+    """A binary (or UTF-8 text) handle on a temporary sibling that is renamed over
+    path on success, so a write that fails part way leaves any previous file intact."""
     tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "w" if text else "wb", encoding="utf-8" if text else None) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -238,18 +242,60 @@ def read_json(path: str | Path, keys: Mapping[str, type | tuple[type, ...]]) -> 
     except ValueError as exc:
         raise FormatError(f"{path}: unreadable JSON: {exc}") from exc
     check_format(isinstance(obj, dict), path, "not a JSON object")
+    _check_keys(obj, path, keys)
+    return obj
+
+
+def _check_keys(obj: dict, path: str | Path, keys: Mapping[str, type | tuple[type, ...]]):
     for key, types in keys.items():
         value, name = obj.get(key), getattr(types, "__name__", "number")
         ok = isinstance(value, types) and (types is bool or not isinstance(value, bool))
         check_format(ok, path, f"key {key!r} missing or not of type {name}")
-    return obj
+
+
+def save_index(directory: str | Path, meta: dict, files: Mapping[str, tuple[bytes, Sequence]]):
+    """Write array containers {name: (magic, arrays)}, then meta.json plus format_version."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, (magic, arrays) in files.items():
+        write_arrays(directory / name, magic, INDEX_FORMAT_VERSION, arrays)
+    write_json(directory / "meta.json", {**meta, "format_version": INDEX_FORMAT_VERSION})
+
+
+def read_index_meta(directory: str | Path, mode: str, keys: Mapping) -> dict:
+    """An index directory's meta.json holding keys (see read_json); FormatError
+    unless it also records INDEX_FORMAT_VERSION and `mode`."""
+    path = Path(directory) / "meta.json"
+    meta = read_json(path, {"format_version": int})
+    version = meta["format_version"]
+    check_format(version == INDEX_FORMAT_VERSION, path, f"version {version}; rebuild the index")
+    check_format(meta.get("mode") == mode, path, f"mode {meta.get('mode')!r}, expected {mode!r}")
+    _check_keys(meta, path, keys)
+    return meta
+
+
+def index_mode(directory: str | Path) -> str:
+    """The mode (exact, compressed or bm25) recorded in an index directory's meta.json."""
+    return read_json(Path(directory) / "meta.json", {"mode": str})["mode"]
+
+
+@contextmanager
+def _reading(path: str | Path):
+    """A UTF-8 text handle on path; invalid UTF-8 is a ParseError at its line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            bad = (n for n, line in enumerate(fh, start=1) if re.search("[\udc80-\udcff]", line))
+            raise ParseError("invalid UTF-8", next(bad, None)) from exc
 
 
 def read_rows(path: str | Path, fields: int, sep: str | None = None
               ) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) for each non-blank line, split on whitespace or on sep;
     ParseError with the line number for a line without exactly `fields` fields."""
-    with open(path, encoding="utf-8") as fh:
+    with _reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(sep)
             if len(parts) != fields:
@@ -261,14 +307,14 @@ def read_rows(path: str | Path, fields: int, sep: str | None = None
 
 def write_rows(path: str | Path, rows: Iterable[Sequence[str]]) -> None:
     """One tab-separated line per row."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path, text=True) as fh:
         fh.writelines("\t".join(row) + "\n" for row in rows)
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """(line number, object) for each non-blank line of a JSONL file; ParseError
     with the line number for invalid JSON or a line that is not an object."""
-    with open(path, encoding="utf-8") as fh:
+    with _reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -284,7 +330,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 def write_jsonl(path: str | Path, objs: Iterable[dict]) -> int:
     """One ensure_ascii=False JSON object per line; returns the count."""
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path, text=True) as fh:
         for obj in objs:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
             count += 1

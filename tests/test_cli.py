@@ -1,6 +1,7 @@
 """CLI: each subcommand, config-file resolution, manifests, determinism."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -160,6 +161,20 @@ class TestSearchPipeline:
             (workspace / f"{n}.manifest.json").read_text() for n in ("a.trec", "b.trec")
         ]
         assert manifests[0] == manifests[1]
+
+    def test_index_hash_ignores_build_paths(self, workspace):
+        # one store at two paths: the index built from each hashes the same
+        _ingest_both(workspace)
+        shutil.copytree(workspace / "docstore", workspace / "docstore-copy")
+        hashes = []
+        for store in ("docstore", "docstore-copy"):
+            index, run = workspace / f"{store}-idx", workspace / f"{store}.trec"
+            run_ok(["index", "--store", str(workspace / store), "--out", str(index)])
+            run_ok(["search", "--index", str(index), "--queries", str(workspace / "qstore"),
+                    "--out", str(run)])
+            manifest = json.loads((workspace / f"{store}.trec.manifest.json").read_text())
+            hashes.append(manifest["inputs"]["index"]["sha256"])
+        assert hashes[0] == hashes[1]
 
 
 class TestScore:
@@ -421,6 +436,11 @@ class TestCliContract:
             assert info.value.code == 0
             assert "usage" in capsys.readouterr().out
 
+    def test_search_takes_mode_from_index(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        assert "--mode" not in capsys.readouterr().out
+
     def test_unknown_flag_is_error(self, workspace, capsys):
         with pytest.raises(SystemExit) as info:
             main(["ingest", "--bogus", "x"])
@@ -432,4 +452,4 @@ class TestCliContract:
         assert info.value.code == 0
         out = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal width
         assert "lateir" in out
-        assert "index=2" in out and "bm25=2" in out and "array container" in out
+        assert "index=3" in out and "bm25=" not in out and "array container" in out

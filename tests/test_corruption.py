@@ -11,7 +11,7 @@ import pytest
 from lateir.bm25 import Tokenizer, build_bm25, load_bm25, save_bm25
 from lateir.cli import main
 from lateir.compressed import compress, load_compressed, save_compressed, train_codebook
-from lateir.errors import EngineError, ParseError
+from lateir.errors import EngineError, FormatError, ParseError
 from lateir.evaluation import load_qrels
 from lateir.exact import build_exact, load_exact, save_exact
 from lateir.mining import TeacherScoreTable, read_negatives_jsonl, read_nway_jsonl
@@ -115,10 +115,12 @@ def test_flipped_bytes(indexes, tmp_path, kind, name):
 
 META = {
     ("store", "manifest.json"): ["corpus", "created", "dim", "entry_count", "kind", "precision"],
-    ("exact", "index-meta.json"): ["dim", "doc_count", "format_version", "mode", "precision",
-                                   "token_count"],
-    ("compressed", "meta.json"): ["dim", "doc_count", "k_centroids", "seed", "token_count"],
-    ("bm25", "meta.json"): ["avgdl", "b", "doc_count", "k1", "lowercase", "scheme", "term_count"],
+    ("exact", "meta.json"): ["dim", "doc_count", "format_version", "mode", "precision",
+                             "token_count"],
+    ("compressed", "meta.json"): ["dim", "doc_count", "format_version", "k_centroids", "mode",
+                                  "seed", "token_count"],
+    ("bm25", "meta.json"): ["avgdl", "b", "doc_count", "format_version", "k1", "lowercase", "mode",
+                            "scheme", "term_count"],
 }
 
 
@@ -164,7 +166,7 @@ def test_damaged_metadata_cli_exits_2(indexes, tmp_path, kind, name, capsys):
 
 @pytest.mark.parametrize(
     "kind, name, key, value",
-    [("exact", "index-meta.json", "dim", "8"), ("exact", "index-meta.json", "doc_count", True),
+    [("exact", "meta.json", "dim", "8"), ("exact", "meta.json", "doc_count", True),
      ("compressed", "meta.json", "k_centroids", 8.0), ("bm25", "meta.json", "lowercase", 1),
      ("bm25", "meta.json", "scheme", "morphemes"), ("store", "manifest.json", "kind", None)],
 )
@@ -174,6 +176,37 @@ def test_mistyped_metadata(indexes, tmp_path, kind, name, key, value):
     for work in _damaged_copies(indexes, tmp_path, kind, name, [variant, b"[1, 2]"]):
         with pytest.raises(EngineError):
             LOADERS[kind](work)
+
+
+# --- meta.json names each index's mode and format version -------------------
+
+INDEX_KINDS = ("exact", "compressed", "bm25")
+
+
+@pytest.mark.parametrize(
+    "kind, other", [(kind, other) for kind in INDEX_KINDS for other in INDEX_KINDS if other != kind]
+)
+def test_loader_rejects_other_index_kind(indexes, kind, other):
+    with pytest.raises(FormatError) as info:
+        LOADERS[kind](indexes / other)
+    message = str(info.value)
+    assert repr(kind) in message and repr(other) in message
+
+
+@pytest.mark.parametrize("kind", ["compressed", "bm25"])
+def test_old_format_version_asks_for_rebuild(indexes, tmp_path, kind):
+    meta = json.loads((indexes / kind / "meta.json").read_bytes())
+    variant = json.dumps({**meta, "format_version": 2}).encode("utf-8")
+    for work in _damaged_copies(indexes, tmp_path, kind, "meta.json", [variant]):
+        with pytest.raises(FormatError, match="rebuild the index"):
+            LOADERS[kind](work)
+
+
+def test_search_sends_bm25_index_to_bm25_search(indexes, tmp_path, capsys):
+    argv = ["search", "--index", str(indexes / "bm25"), "--queries", str(indexes / "queries"),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "bm25 search" in capsys.readouterr().err
 
 
 # --- line-oriented text files: ParseError with the bad line's number --------
@@ -220,6 +253,24 @@ def write_text_file(path, kind, line3):
     lines = [good.format(i=1), "", line3, good.format(i=4)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def write_utf8_file(path, kind, eol="\n", bad=b"\xff\xfe"):
+    """Three well-formed lines ending in eol, the bytes `bad` opening line 2."""
+    lines = [TEXT_FILES[kind][1].format(i=i).encode("utf-8") for i in (1, 2, 3)]
+    lines[1] = bad + lines[1]
+    path.write_bytes(b"".join(line + eol.encode("ascii") for line in lines))
+    return path
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("kind", TEXT_FILES)
+def test_invalid_utf8_is_parse_error(tmp_path, kind, eol):
+    reader = TEXT_FILES[kind][0]
+    assert reader(write_utf8_file(tmp_path / "good", kind, eol, bad=b""))
+    with pytest.raises(ParseError) as info:
+        reader(write_utf8_file(tmp_path / "bad", kind, eol))
+    assert info.value.line == 2
 
 
 @pytest.mark.parametrize("kind", TEXT_FILES)
@@ -289,6 +340,16 @@ def test_stage_rejects_malformed_line(stage_inputs, tmp_path, capsys, stage, kin
     files[kind] = str(write_text_file(tmp_path / kind, kind, bad))
     assert main(stage_argv(stage, files)) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "stage, kind", [(stage, kind) for stage, kinds in STAGE_INPUTS.items() for kind in kinds]
+)
+def test_stage_rejects_invalid_utf8(stage_inputs, tmp_path, capsys, stage, kind):
+    files = _files(stage_inputs, tmp_path)
+    files[kind] = str(write_utf8_file(tmp_path / kind, kind))
+    assert main(stage_argv(stage, files)) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_keep_file_takes_one_id_per_line(stage_inputs, tmp_path, capsys):

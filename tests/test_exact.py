@@ -146,7 +146,7 @@ class TestPersistence:
         index = build_exact(store, "float16")
         save_exact(index, tmp_path / "idx")
         assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
-            "index-meta.json",
+            "meta.json",
             "tokens.bin",
         ]
         back = load_exact(tmp_path / "idx")
@@ -163,7 +163,7 @@ class TestPersistence:
     )
     def test_meta_cross_checked(self, tmp_path, rng, key, value):
         save_exact(build_exact(random_store(rng, 10, 8), "float16"), tmp_path / "idx")
-        meta_path = tmp_path / "idx" / "index-meta.json"
+        meta_path = tmp_path / "idx" / "meta.json"
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         meta[key] = value
         meta_path.write_text(json.dumps(meta), encoding="utf-8")

@@ -40,8 +40,16 @@ from lateir.store import (
     write_jsonl,
     write_rows,
 )
+from lateir.ranking import RankedList, write_trec_run
 
 from conftest import store_with_empty_doc, unit_rows
+
+# each text writer and one item it writes
+TEXT_WRITERS = {
+    "rows": (write_rows, ("q1", "d1", "0.5")),
+    "jsonl": (write_jsonl, {"qid": "q1"}),
+    "trec": (write_trec_run, RankedList("q1", [("d1", 0.5)])),
+}
 
 
 def scalar_norm(row):
@@ -350,6 +358,34 @@ class TestTextLines:
         with pytest.raises(ParseError) as info:
             list(read_jsonl(path))
         assert info.value.line == 2
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_invalid_utf8_line_past_first_read(self, tmp_path, eol):
+        # far more than one buffered read of good lines before the bad one
+        path = tmp_path / "x.jsonl"
+        path.write_bytes((('{"a": 1}' + eol) * 3000 + '{"a": "\udcff"}' + eol)
+                         .encode("utf-8", "surrogateescape"))
+        for reader in (read_jsonl, lambda p: read_rows(p, 2)):
+            with pytest.raises(ParseError, match="UTF-8") as info:
+                list(reader(path))
+            assert info.value.line == 3001
+
+    @pytest.mark.parametrize("name", TEXT_WRITERS)
+    def test_failed_write_keeps_previous_file(self, tmp_path, name):
+        writer, item = TEXT_WRITERS[name]
+        path = tmp_path / "out"
+        writer(path, [item])
+        before = path.read_bytes()
+
+        def failing():
+            yield item
+            yield item
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError):
+            writer(path, failing())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
     def test_writers(self, tmp_path):
         assert write_jsonl(tmp_path / "x.jsonl", [{"id": "東京", "n": [1.5]}, {}]) == 2
