@@ -22,9 +22,9 @@ Index directory layout (array containers, see ``store.write_arrays``)::
 
     codebook.bin   magic LICB: (K, dim) float32 centroids
     residuals.bin  magic LIRC: (dim, 3) float32 bucket cutoffs | (dim, 4)
-                   float32 bucket values | doc ids | (n_docs + 1,) int64 token
-                   offsets | uint32 centroid id and ceil(dim/4) packed code
-                   bytes per token
+                   float32 bucket values | the ``store.TokenTable`` records |
+                   uint32 centroid id and ceil(dim/4) packed code bytes per
+                   token
     meta.json      mode ``compressed`` (see ``store.save_index``), parameters,
                    seed, counts
 """
@@ -39,9 +39,9 @@ import numpy as np
 
 from .errors import BadCentroidId, DimMismatch, InsufficientTokens
 from .ranking import RankedList, ranked_from_scores
-from .scoring import check_query
-from .store import INDEX_FORMAT_VERSION, EmbeddingStore, check_format, check_offsets, pack_strings
-from .store import read_arrays, read_index_meta, save_index, stack_store, unpack_strings
+from .scoring import check_query, maxsim_per_doc
+from .store import INDEX_FORMAT_VERSION, EmbeddingStore, TokenTable, check_format, read_arrays
+from .store import read_index_meta, read_table, save_index, stack_store
 
 CODEBOOK_MAGIC = b"LICB"
 RESIDUAL_MAGIC = b"LIRC"
@@ -85,27 +85,14 @@ class ResidualCode:
 
 
 @dataclass
-class CompressedIndex:
+class CompressedIndex(TokenTable):
     codebook: Codebook
     codec: ResidualCodec
-    doc_ids: list[str]
-    offsets: np.ndarray  # (n_docs + 1,) int64 token offsets
     centroid_ids: np.ndarray  # (total_tokens,) uint32
     packed_codes: np.ndarray  # (total_tokens, ceil(dim/4)) uint8
     ivf_offsets: np.ndarray  # (K + 1,) int64
     ivf_docs: np.ndarray  # int64 doc indexes grouped by centroid, ascending in each
     params: dict
-
-    @property
-    def n_docs(self) -> int:
-        return len(self.doc_ids)
-
-    @property
-    def total_tokens(self) -> int:
-        return int(self.offsets[-1])
-
-    def token_counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
 
 
 def default_centroid_count(total_tokens: int) -> int:
@@ -146,7 +133,7 @@ def train_codebook(
     """Spherical k-means over every token in the store; deterministic given seed."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    tokens, _, _ = stack_store(store, np.float32)
+    tokens, _ = stack_store(store, np.float32)
     total = tokens.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -211,7 +198,7 @@ def unpack_codes(packed: np.ndarray, dim: int) -> np.ndarray:
 
 def compress(store: EmbeddingStore, codebook: Codebook) -> CompressedIndex:
     """Quantize every token of the store against the codebook."""
-    tokens, offsets, doc_ids = stack_store(store, np.float32)
+    tokens, table = stack_store(store, np.float32)
     if tokens.shape[1] != codebook.dim:
         raise DimMismatch(
             f"store dim {tokens.shape[1]} != codebook dim {codebook.dim}"
@@ -232,13 +219,12 @@ def compress(store: EmbeddingStore, codebook: Codebook) -> CompressedIndex:
     codes = _quantize(residuals, cutoffs)
     packed = pack_codes(codes)
     centroid_ids = assign.astype(np.uint32)
-    ivf_offsets, ivf_docs = _inverted_lists(centroid_ids, offsets, codebook.k)
+    ivf_offsets, ivf_docs = _inverted_lists(centroid_ids, table.token_docs(), codebook.k)
 
     return CompressedIndex(
+        **vars(table),
         codebook=codebook,
         codec=codec,
-        doc_ids=doc_ids,
-        offsets=offsets,
         centroid_ids=centroid_ids,
         packed_codes=packed,
         ivf_offsets=ivf_offsets,
@@ -253,9 +239,8 @@ def compress(store: EmbeddingStore, codebook: Codebook) -> CompressedIndex:
     )
 
 
-def _inverted_lists(centroid_ids: np.ndarray, offsets: np.ndarray, k: int):
+def _inverted_lists(centroid_ids: np.ndarray, token_doc: np.ndarray, k: int):
     """(ivf_offsets, ivf_docs): each document once per centroid it has a token on."""
-    token_doc = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
     order = np.argsort(centroid_ids, kind="stable")
     cids, docs = centroid_ids[order], token_doc[order]
     # the stable sort keeps token order within a list, so docs ascend and repeats are adjacent
@@ -283,15 +268,6 @@ def decompress(code: ResidualCode, codebook: Codebook, codec: ResidualCodec) -> 
     return _reconstruct(
         np.array([code.centroid_id]), codes, codebook, codec
     )[0]
-
-
-def _segment_ranges(offsets: np.ndarray, segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat token indexes for the given segments plus boundaries between them."""
-    lengths = (offsets[segments + 1] - offsets[segments]).astype(np.int64)
-    bounds = np.zeros(len(segments) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=bounds[1:])
-    flat = np.repeat(offsets[segments] - bounds[:-1], lengths) + np.arange(bounds[-1])
-    return flat, bounds
 
 
 def search_compressed(
@@ -325,20 +301,18 @@ def search_compressed(
 
     # stage 2: approximate score = maxsim over centroid vectors only
     if candidates.size > candidate_cap:
-        flat, bounds = _segment_ranges(index.offsets, candidates)
-        approx_sims = qsims[:, index.centroid_ids[flat].astype(np.int64)]
-        approx = np.maximum.reduceat(approx_sims, bounds[:-1], axis=1).sum(axis=0)
+        flat, bounds = index.rows_of(candidates)
+        approx = maxsim_per_doc(qsims[:, index.centroid_ids[flat].astype(np.int64)], bounds)
         keep = np.argsort(-approx, kind="stable")[:candidate_cap]
         candidates = np.sort(candidates[keep])
 
     # stage 3: decompress candidates and rerank by exact maxsim
-    flat, bounds = _segment_ranges(index.offsets, candidates)
+    flat, bounds = index.rows_of(candidates)
     codes = unpack_codes(index.packed_codes[flat], index.codebook.dim)
     recon = _reconstruct(
         index.centroid_ids[flat].astype(np.int64), codes, index.codebook, index.codec
     ).astype(np.float64)
-    sims = q @ recon.T
-    scores = np.maximum.reduceat(sims, bounds[:-1], axis=1).sum(axis=0)
+    scores = maxsim_per_doc(q @ recon.T, bounds)
     ids = [index.doc_ids[c] for c in candidates]
     return ranked_from_scores(query_id, ids, scores, k=k)
 
@@ -346,8 +320,8 @@ def search_compressed(
 def save_compressed(index: CompressedIndex, directory: str | Path) -> None:
     meta = {**index.params, "mode": "compressed", "doc_count": index.n_docs,
             "token_count": index.total_tokens}
-    residuals = [index.codec.cutoffs, index.codec.values, *pack_strings(index.doc_ids),
-                 index.offsets, index.centroid_ids, index.packed_codes]
+    residuals = [index.codec.cutoffs, index.codec.values, *index.table_arrays(),
+                 index.centroid_ids, index.packed_codes]
     files = {"codebook.bin": (CODEBOOK_MAGIC, [index.codebook.centroids]),
              "residuals.bin": (RESIDUAL_MAGIC, residuals)}
     save_index(directory, meta, files)
@@ -358,34 +332,28 @@ def load_compressed(directory: str | Path) -> CompressedIndex:
     directory = Path(directory)
     keys = {"k_centroids": int, "dim": int, "doc_count": int, "token_count": int, "seed": int}
     meta = read_index_meta(directory, "compressed", keys)
-    k, dim, n_docs, total = (meta[key] for key in ("k_centroids", "dim", "doc_count", "token_count"))
+    k, dim, total = (meta[key] for key in ("k_centroids", "dim", "token_count"))
 
     path = directory / "codebook.bin"
     (centroids,) = read_arrays(path, CODEBOOK_MAGIC, INDEX_FORMAT_VERSION, ["<f4"])
     check_format(centroids.shape == (k, dim), path, f"shape {centroids.shape} disagrees with meta")
 
     path = directory / "residuals.bin"
-    dtypes = ["<f4", "<f4", "u1", "<i8", "<i8", "<u4", "u1"]
-    cutoffs, values, id_blob, id_offsets, offsets, centroid_ids, packed_codes = read_arrays(
-        path, RESIDUAL_MAGIC, INDEX_FORMAT_VERSION, dtypes
-    )
-    doc_ids = unpack_strings(id_blob, id_offsets, path)
-    shapes = (cutoffs.shape, values.shape, len(doc_ids), offsets.shape, centroid_ids.shape,
-              packed_codes.shape)
-    want = ((dim, 3), (dim, 4), n_docs, (n_docs + 1,), (total,), (total, (dim + 3) // 4))
+    records = ["<f4", "<f4", TokenTable, "<u4", "u1"]
+    cutoffs, values, table, centroid_ids, packed = read_table(path, RESIDUAL_MAGIC, records, meta)
+    shapes = (cutoffs.shape, values.shape, centroid_ids.shape, packed.shape)
+    want = ((dim, 3), (dim, 4), (total,), (total, (dim + 3) // 4))
     check_format(shapes == want, path, f"shapes {shapes} disagree with meta.json {want}")
-    check_offsets(offsets, total, path, "token offsets", min_step=1)
     if total and int(centroid_ids.max()) >= k:
         raise BadCentroidId(f"{path}: centroid id {int(centroid_ids.max())} not in [0, {k})")
-    ivf_offsets, ivf_docs = _inverted_lists(centroid_ids, offsets, k)
+    ivf_offsets, ivf_docs = _inverted_lists(centroid_ids, table.token_docs(), k)
 
     return CompressedIndex(
+        **vars(table),
         codebook=Codebook(centroids=centroids, seed=int(meta["seed"])),
         codec=ResidualCodec(cutoffs=cutoffs, values=values),
-        doc_ids=doc_ids,
-        offsets=offsets,
         centroid_ids=centroid_ids,
-        packed_codes=packed_codes,
+        packed_codes=packed,
         ivf_offsets=ivf_offsets,
         ivf_docs=ivf_docs,
         params={key: meta[key] for key in meta if key not in ("doc_count", "token_count", "mode")},

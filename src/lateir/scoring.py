@@ -48,6 +48,12 @@ def maxsim(q: np.ndarray, d: np.ndarray) -> float:
     return float(sims.max(axis=1).sum())
 
 
+def maxsim_per_doc(token_sims: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """maxsim of each document from (query token, document token) similarities whose
+    columns hold document j's tokens at bounds[j]:bounds[j + 1] (no empty run)."""
+    return np.maximum.reduceat(token_sims, bounds[:-1], axis=1).sum(axis=0)
+
+
 def maxsim_grad_query(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Gradient of maxsim with respect to the query matrix.
 

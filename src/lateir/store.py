@@ -13,12 +13,18 @@ Embedding file format (little-endian throughout)::
 A persisted store is a directory holding ``embeddings.bin`` in that format
 plus ``manifest.json``.
 
+The exact and compressed indexes are TokenTables: doc ids plus int64 token
+offsets, document i owning token rows offsets[i]:offsets[i + 1].  The table
+is three container records (``table_arrays``), read and checked against
+``meta.json`` by ``read_table``.
+
 An index directory holds array containers plus ``meta.json``, which records
 its ``mode`` and ``format_version`` (``save_index`` / ``read_index_meta``).
 Every index file is an array container: magic (4 bytes) | u32 format
 version | u32 array count, then one ``.npy`` record per array.
-Strings are stored as a UTF-8 blob (uint8) plus int64 byte offsets.
-Containers, JSON metadata and text outputs are written to a temporary
+Strings are stored as a UTF-8 blob (uint8) plus int64 byte offsets, and a
+record's strings must be distinct.
+Stores, containers, JSON metadata and text outputs are written to a temporary
 sibling, then renamed; ``read_json`` checks each metadata key's JSON type.
 
 Every line-oriented text file (runs, qrels, pairs, teacher scores, corpus,
@@ -139,12 +145,13 @@ def write_embedding_file(
     precision: str,
     entries: Iterable[tuple[str, np.ndarray]],
 ) -> int:
-    """Write entries to an embedding file; returns the entry count."""
+    """Write entries to an embedding file through a temporary sibling (see
+    _replacing); returns the entry count."""
     if precision not in PRECISION_DTYPES:
         raise ValueError(f"unknown precision {precision!r}")
     dtype = PRECISION_DTYPES[precision]
     entries = list(entries)
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(
             _HEADER.pack(
                 EMBEDDING_MAGIC,
@@ -262,10 +269,19 @@ def save_index(directory: str | Path, meta: dict, files: Mapping[str, tuple[byte
     write_json(directory / "meta.json", {**meta, "format_version": INDEX_FORMAT_VERSION})
 
 
+def _index_meta_path(directory: str | Path) -> Path:
+    """directory/meta.json; FormatError asking for a rebuild for an exact index from
+    before format 3, which named it index-meta.json."""
+    path = Path(directory) / "meta.json"
+    old = path.with_name("index-meta.json")
+    check_format(path.exists() or not old.exists(), old, "format before 3; rebuild the index")
+    return path
+
+
 def read_index_meta(directory: str | Path, mode: str, keys: Mapping) -> dict:
     """An index directory's meta.json holding keys (see read_json); FormatError
     unless it also records INDEX_FORMAT_VERSION and `mode`."""
-    path = Path(directory) / "meta.json"
+    path = _index_meta_path(directory)
     meta = read_json(path, {"format_version": int})
     version = meta["format_version"]
     check_format(version == INDEX_FORMAT_VERSION, path, f"version {version}; rebuild the index")
@@ -276,7 +292,7 @@ def read_index_meta(directory: str | Path, mode: str, keys: Mapping) -> dict:
 
 def index_mode(directory: str | Path) -> str:
     """The mode (exact, compressed or bm25) recorded in an index directory's meta.json."""
-    return read_json(Path(directory) / "meta.json", {"mode": str})["mode"]
+    return read_json(_index_meta_path(directory), {"mode": str})["mode"]
 
 
 @contextmanager
@@ -396,17 +412,70 @@ def pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unpack_strings(blob: np.ndarray, offsets: np.ndarray, path: str | Path) -> list[str]:
-    """Inverse of pack_strings; FormatError for bad offsets or bad UTF-8."""
+    """Inverse of pack_strings; FormatError for bad offsets, bad UTF-8 or a repeated string."""
     check_offsets(offsets, blob.size, path, "string offsets")
     raw, bounds = blob.tobytes(), offsets.tolist()
     try:
-        return [raw[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
+        strings = [raw[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    check_format(len(set(strings)) == len(strings), path, "duplicate string")
+    return strings
 
 
-def stack_store(store: EmbeddingStore, dtype) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """(all token rows cast to dtype, int64 token offsets, doc ids) in ingestion order;
+@dataclass
+class TokenTable:
+    """Documents as runs of token rows: document i owns rows offsets[i]:offsets[i + 1].
+    Saved as three container records: doc ids (blob, byte offsets) and the offsets."""
+
+    doc_ids: list[str]
+    offsets: np.ndarray  # (n_docs + 1,) int64, rising from 0 in steps of >= 1
+
+    @property
+    def n_docs(self) -> int:
+        return len(self.doc_ids)
+
+    @property
+    def total_tokens(self) -> int:
+        return int(self.offsets[-1])
+
+    def token_counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def token_docs(self) -> np.ndarray:
+        """The document index of every token row."""
+        return np.repeat(np.arange(self.n_docs, dtype=np.int64), self.token_counts())
+
+    def rows_of(self, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(flat, bounds): the token rows of docs in order, those of docs[j] at
+        flat[bounds[j]:bounds[j + 1]]."""
+        starts = self.offsets[docs]
+        lengths = self.offsets[docs + 1] - starts
+        bounds = np.zeros(len(docs) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=bounds[1:])
+        return np.repeat(starts - bounds[:-1], lengths) + np.arange(bounds[-1]), bounds
+
+    def table_arrays(self) -> list[np.ndarray]:
+        """The table's three container records."""
+        return [*pack_strings(self.doc_ids), self.offsets]
+
+
+def read_table(path: str | Path, magic: bytes, records: list, meta: Mapping) -> list:
+    """The arrays of an index container holding the dtypes in records, with a
+    TokenTable, checked against meta.json's counts, where records holds TokenTable."""
+    at = records.index(TokenTable)
+    dtypes = [*records[:at], "u1", "<i8", "<i8", *records[at + 1 :]]
+    arrays = read_arrays(path, magic, INDEX_FORMAT_VERSION, dtypes)
+    doc_ids, offsets = unpack_strings(*arrays[at : at + 2], path), arrays[at + 2]
+    counts, n_docs = (len(doc_ids), offsets.shape), meta["doc_count"]
+    check_format(counts == (n_docs, (n_docs + 1,)), path,
+                 f"ids and offsets {counts} disagree with meta.json doc_count {n_docs}")
+    check_offsets(offsets, meta["token_count"], path, "token offsets", min_step=1)
+    return [*arrays[:at], TokenTable(doc_ids, offsets), *arrays[at + 3 :]]
+
+
+def stack_store(store: EmbeddingStore, dtype) -> tuple[np.ndarray, TokenTable]:
+    """(all token rows cast to dtype, their TokenTable) in ingestion order;
     EmptyStore for a store without documents, FormatError for a document without rows."""
     if len(store) == 0:
         raise EmptyStore("cannot index an empty store")
@@ -415,7 +484,7 @@ def stack_store(store: EmbeddingStore, dtype) -> tuple[np.ndarray, np.ndarray, l
     empty = np.flatnonzero(offsets[1:] == offsets[:-1])
     if empty.size:
         raise FormatError(f"document {store.doc_ids[empty[0]]!r} has zero tokens")
-    return np.vstack(matrices, dtype=dtype), offsets, store.doc_ids
+    return np.vstack(matrices, dtype=dtype), TokenTable(store.doc_ids, offsets)
 
 
 def _created_stamp(path: str | Path) -> str:

@@ -21,7 +21,7 @@ from lateir.compressed import (
     unpack_codes,
 )
 from lateir.errors import BadCentroidId, DimMismatch, EmptyStore, FormatError, InsufficientTokens
-from lateir.exact import build_exact, search_exact
+from lateir.exact import build_exact, save_exact, search_exact
 from lateir.store import EmbeddingStore
 from lateir.scoring import maxsim
 from conftest import (
@@ -30,6 +30,7 @@ from conftest import (
     family_corpus,
     family_queries,
     random_store,
+    read_container,
     set_item,
     store_from_matrices,
     store_with_empty_doc,
@@ -392,6 +393,16 @@ class TestPersistence:
             assert (tmp_path / "one" / filename).read_bytes() == (
                 tmp_path / "two" / filename
             ).read_bytes(), filename
+
+    def test_doc_table_records_match_exact_index(self, tmp_path, rng):
+        store = random_store(rng, 30, 12, min_tokens=2, max_tokens=9)
+        save_exact(build_exact(store), tmp_path / "exact")
+        save_compressed(compress(store, train_codebook(store, k=8, seed=5)), tmp_path / "comp")
+        _, _, exact = read_container(tmp_path / "exact" / "tokens.bin")
+        _, _, comp = read_container(tmp_path / "comp" / "residuals.bin")
+        # doc id blob, doc id offsets, token offsets
+        for a, b in zip(exact[0:3], comp[2:5], strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class TestLoadChecks:

@@ -16,9 +16,10 @@ from lateir.evaluation import load_qrels
 from lateir.exact import build_exact, load_exact, save_exact
 from lateir.mining import TeacherScoreTable, read_negatives_jsonl, read_nway_jsonl
 from lateir.ranking import read_trec_run
-from lateir.store import CorpusRecord, load_store, read_corpus_jsonl, read_rows, save_store
+from lateir.store import CorpusRecord, load_store, pack_strings, read_corpus_jsonl, read_rows
+from lateir.store import save_store, write_arrays
 
-from conftest import random_store
+from conftest import random_store, read_container
 
 LOADERS = {
     "store": load_store, "exact": load_exact, "compressed": load_compressed, "bm25": load_bm25
@@ -200,6 +201,40 @@ def test_old_format_version_asks_for_rebuild(indexes, tmp_path, kind):
     for work in _damaged_copies(indexes, tmp_path, kind, "meta.json", [variant]):
         with pytest.raises(FormatError, match="rebuild the index"):
             LOADERS[kind](work)
+
+
+def test_exact_index_before_format_3_asks_for_rebuild(indexes, tmp_path, capsys):
+    work = tmp_path / "exact"
+    shutil.copytree(indexes / "exact", work)
+    (work / "meta.json").rename(work / "index-meta.json")
+    with pytest.raises(FormatError, match="rebuild the index"):
+        load_exact(work)
+    assert main(_reader_argv(indexes, tmp_path, "exact", work)) == 2
+    assert "rebuild the index" in capsys.readouterr().err
+
+
+# each string record: index kind, file, position of its blob (its offsets follow)
+STRING_RECORDS = {
+    "exact-ids": ("exact", "tokens.bin", 0),
+    "compressed-ids": ("compressed", "residuals.bin", 2),
+    "bm25-ids": ("bm25", "doclens.bin", 0),
+    "bm25-terms": ("bm25", "postings.bin", 0),
+}
+
+
+@pytest.mark.parametrize("record", STRING_RECORDS)
+def test_repeated_string_rejected(indexes, tmp_path, record):
+    kind, name, at = STRING_RECORDS[record]
+    work = tmp_path / kind
+    shutil.copytree(indexes / kind, work)
+    magic, version, arrays = read_container(work / name)
+    raw, cuts = arrays[at].tobytes(), arrays[at + 1].tolist()
+    strings = [raw[lo:hi].decode("utf-8") for lo, hi in zip(cuts, cuts[1:])]
+    strings[1] = strings[0]  # same count, so every count in meta.json still holds
+    arrays[at : at + 2] = pack_strings(strings)
+    write_arrays(work / name, magic, version, arrays)
+    with pytest.raises(FormatError, match="duplicate"):
+        LOADERS[kind](work)
 
 
 def test_search_sends_bm25_index_to_bm25_search(indexes, tmp_path, capsys):

@@ -20,6 +20,7 @@ from lateir.errors import (
 from lateir.store import (
     EMBEDDING_MAGIC,
     EmbeddingStore,
+    TokenTable,
     cast_precision,
     ingest_embeddings,
     load_store,
@@ -42,7 +43,7 @@ from lateir.store import (
 )
 from lateir.ranking import RankedList, write_trec_run
 
-from conftest import store_with_empty_doc, unit_rows
+from conftest import random_store, store_with_empty_doc, unit_rows
 
 # each text writer and one item it writes
 TEXT_WRITERS = {
@@ -241,6 +242,21 @@ class TestIngest:
         assert back.doc_ids == store.doc_ids
         for doc_id in store.entries:
             np.testing.assert_array_equal(store.entries[doc_id], back.entries[doc_id])
+
+    def test_failed_save_keeps_previous_store(self, tmp_path, rng):
+        store = random_store(rng, 3, 8)
+        save_store(store, tmp_path / "store")
+        bad = random_store(rng, 3, 8)
+        bad.entries["d1"] = unit_rows(rng, 2, 4).astype(np.float32)  # the second entry: dim 4
+        with pytest.raises(FormatError):
+            save_store(bad, tmp_path / "store")
+        back = load_store(tmp_path / "store")
+        assert back.doc_ids == store.doc_ids
+        for doc_id in store.entries:
+            np.testing.assert_array_equal(store.entries[doc_id], back.entries[doc_id])
+        assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [
+            "embeddings.bin", "manifest.json"
+        ]
 
 
 class TestCastPrecision:
@@ -442,9 +458,9 @@ class TestStackStore:
     def test_layout(self, rng):
         store = store_with_empty_doc(rng)
         del store.entries["c"]
-        tokens, offsets, ids = stack_store(store, np.float16)
+        tokens, table = stack_store(store, np.float16)
         assert tokens.dtype == np.float16 and tokens.shape == (5, 8)
-        assert offsets.tolist() == [0, 3, 5] and ids == ["a", "b"]
+        assert table.offsets.tolist() == [0, 3, 5] and table.doc_ids == ["a", "b"]
 
     def test_empty_store(self):
         with pytest.raises(EmptyStore):
@@ -454,6 +470,29 @@ class TestStackStore:
     def test_zero_row_document(self, rng):
         with pytest.raises(FormatError, match="'c' has zero tokens"):
             stack_store(store_with_empty_doc(rng), np.float32)
+
+
+class TestTokenTable:
+    LENGTHS = [3, 1, 4, 1, 5, 2, 6]
+
+    def _table(self):
+        offsets = np.cumsum([0] + self.LENGTHS, dtype=np.int64)
+        return TokenTable([f"d{i}" for i in range(len(self.LENGTHS))], offsets)
+
+    @pytest.mark.parametrize("docs", [[0], [6], [3], [0, 6], [6, 2, 5, 0], [1, 3], list(range(7))])
+    def test_rows_of_matches_per_document_loop(self, docs):
+        table = self._table()
+        flat, bounds = table.rows_of(np.array(docs, dtype=np.int64))
+        rows = [list(range(table.offsets[d], table.offsets[d + 1])) for d in docs]
+        assert flat.tolist() == [t for run in rows for t in run]
+        assert bounds.tolist() == [sum(len(run) for run in rows[:i]) for i in range(len(docs) + 1)]
+
+    def test_counts_and_token_docs(self):
+        table = self._table()
+        assert (table.n_docs, table.total_tokens) == (7, sum(self.LENGTHS))
+        assert table.token_counts().tolist() == self.LENGTHS
+        expected = [d for d, n in enumerate(self.LENGTHS) for _ in range(n)]
+        assert table.token_docs().tolist() == expected
 
 
 class TestArrayContainer:
@@ -522,12 +561,18 @@ class TestArrayContainer:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
 
     def test_strings_round_trip(self):
-        strings = ["", "doc-1", "東京都", "é", ""]
-        blob, offsets = pack_strings(strings)
-        assert blob.dtype == np.uint8 and offsets.dtype == np.int64
-        assert offsets.shape == (len(strings) + 1,)
-        assert unpack_strings(blob, offsets, "x") == strings
+        # one empty string first, then one last: a repeated string is rejected (below)
+        for strings in (["", "doc-1", "東京都", "é"], ["doc-1", "東京都", "é", ""]):
+            blob, offsets = pack_strings(strings)
+            assert blob.dtype == np.uint8 and offsets.dtype == np.int64
+            assert offsets.shape == (len(strings) + 1,)
+            assert unpack_strings(blob, offsets, "x") == strings
         assert unpack_strings(*pack_strings([]), "x") == []
+
+    @pytest.mark.parametrize("strings", [["", "doc-1", "東京都", "é", ""], ["a", "b", "a"]])
+    def test_repeated_string_rejected(self, strings):
+        with pytest.raises(FormatError, match="duplicate"):
+            unpack_strings(*pack_strings(strings), "x")
 
     @pytest.mark.parametrize(
         "offsets", [[0, 2, 1, 5], [1, 3, 5], [0, 3, 6], [0, 5, 5, 5, 9], [], [0, 3, 5]]
