@@ -194,6 +194,8 @@ def load_bm25(directory: str | Path) -> BM25Index:
     doc_ids = unpack_strings(id_blob, id_offsets, path)
     shapes = (len(doc_ids), doc_lengths.shape)
     check_format(shapes == (n_docs, (n_docs,)), path, f"shapes {shapes} disagree with meta.json")
+    avgdl = float(doc_lengths.mean()) if n_docs else 0.0
+    check_format(meta["avgdl"] == avgdl, path, f"meta.json avgdl is not the mean length {avgdl!r}")
 
     path = directory / "postings.bin"
     term_blob, term_offsets, bounds, docs, tfs = read_arrays(
@@ -213,6 +215,6 @@ def load_bm25(directory: str | Path) -> BM25Index:
         b=float(meta["b"]),
         doc_ids=doc_ids,
         doc_lengths=doc_lengths,
-        avgdl=float(meta["avgdl"]),
+        avgdl=avgdl,
         postings={t: (docs[lo:hi], tfs[lo:hi]) for t, lo, hi in zip(terms, cuts, cuts[1:])},
     )

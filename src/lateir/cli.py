@@ -9,9 +9,12 @@ built-in default.  The config file is INI-style with one section per stage
 (`[ingest]`, `[bm25-build]`, ...); keys are the long flag names without
 dashes.  All randomness flows from explicit seeds.
 
-Every command that writes an output also writes a manifest recording the
-tool version, parameters, and SHA-256 of each input, so identical inputs
-and config reproduce identical output bytes.
+Each handler returns its output path and parameters, or None when it
+printed to stdout.  One runner, `_run`, resolves a command's options, calls
+its handler and, once the stage has succeeded, writes the output's manifest:
+the tool version, the parameters, and the SHA-256 of each option marked
+`input`, so identical inputs and config reproduce identical output bytes.
+A stage that fails writes no manifest.
 """
 
 from __future__ import annotations
@@ -76,34 +79,30 @@ class Opt:
     flag: bool = False
     choices: tuple[str, ...] | None = None
     help: str = ""
+    input: bool = False  # hashed into the manifest; a multi option as name0..n
 
     @property
     def dest(self) -> str:
         return self.name.replace("-", "_")
 
 
-def _sha256_file(path: Path) -> str:
+def _sha256_path(path: Path) -> str:
+    """Content hash of a file, or of a directory's files by sorted name, leaving out
+    run-manifest.json, which records the paths the directory was built from."""
     digest = hashlib.sha256()
+    if path.is_dir():
+        files = (p for p in path.rglob("*") if p.is_file() and p.name != "run-manifest.json")
+        for child in sorted(files):
+            digest.update(child.relative_to(path).as_posix().encode("utf-8"))
+            digest.update(bytes.fromhex(_sha256_path(child)))
+        return digest.hexdigest()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
 
 
-def _sha256_path(path: Path) -> str:
-    """Content hash of a file, or of a directory's files by sorted name, leaving out
-    run-manifest.json, which records the paths the directory was built from."""
-    if path.is_dir():
-        digest = hashlib.sha256()
-        files = (p for p in path.rglob("*") if p.is_file() and p.name != "run-manifest.json")
-        for child in sorted(files):
-            digest.update(child.relative_to(path).as_posix().encode("utf-8"))
-            digest.update(bytes.fromhex(_sha256_file(child)))
-        return digest.hexdigest()
-    return _sha256_file(path)
-
-
-def _write_manifest(out: Path, command: str, inputs: dict[str, Path], params: dict) -> Path:
+def _write_manifest(out: Path, command: str, inputs: dict[str, str], params: dict) -> None:
     manifest = {
         "command": command,
         "tool_version": __version__,
@@ -116,7 +115,6 @@ def _write_manifest(out: Path, command: str, inputs: dict[str, Path], params: di
     }
     target = out / "run-manifest.json" if out.is_dir() else Path(str(out) + ".manifest.json")
     write_json(target, manifest)
-    return target
 
 
 def _say(message: str) -> None:
@@ -140,8 +138,7 @@ def _resolve_options(
     config_path = given.get("config")
     if config_path:
         config = configparser.ConfigParser(interpolation=None)
-        read = config.read(config_path, encoding="utf-8")
-        if not read:
+        if not config.read(config_path, encoding="utf-8"):
             raise ConfigError(f"config file not found: {config_path}")
     resolved: dict[str, Any] = {}
     for opt in opts:
@@ -169,9 +166,10 @@ def _resolve_options(
 # ----------------------------------------------------------------------
 
 KIND_NAMES = {"doc": "document", "query": "query"}
+Result = tuple[Path, dict] | None  # output path and manifest parameters; None: stdout
 
 
-def cmd_ingest(o: dict) -> int:
+def cmd_ingest(o: dict) -> Result:
     corpus = read_corpus_jsonl(o["corpus"])
     corpus_ids = {r.id for r in corpus}
     store = ingest_embeddings(o["embeddings"], KIND_NAMES[o["kind"]])
@@ -183,18 +181,12 @@ def cmd_ingest(o: dict) -> int:
     store.manifest.corpus = Path(o["corpus"]).stem
     out = Path(o["out"])
     save_store(store, out)
-    _write_manifest(
-        out,
-        "ingest",
-        {"corpus": o["corpus"], "embeddings": o["embeddings"]},
-        {"kind": o["kind"], "dim": store.dim, "precision": store.precision,
-         "entries": len(store)},
-    )
     _say(f"ingested {len(store)} {o['kind']} matrices (dim {store.dim}) into {out}")
-    return 0
+    return out, {"kind": o["kind"], "dim": store.dim, "precision": store.precision,
+                 "entries": len(store)}
 
 
-def cmd_index(o: dict) -> int:
+def cmd_index(o: dict) -> Result:
     store = load_store(o["store"])
     out = Path(o["out"])
     if o["mode"] == "exact":
@@ -221,12 +213,11 @@ def cmd_index(o: dict) -> int:
             "docs": index.n_docs,
             "tokens": index.total_tokens,
         }
-    _write_manifest(out, "index", {"store": o["store"]}, params)
     _say(f"built {o['mode']} index over {len(store)} documents in {out}")
-    return 0
+    return out, params
 
 
-def cmd_search(o: dict) -> int:
+def cmd_search(o: dict) -> Result:
     index_dir = Path(o["index"])
     mode = index_mode(index_dir)
     if mode == "bm25":
@@ -241,18 +232,12 @@ def cmd_search(o: dict) -> int:
             for qid, matrix in queries.entries.items()]
     out = Path(o["out"])
     write_trec_run(out, runs, tag=o["run_tag"])
-    _write_manifest(
-        out,
-        "search",
-        {"index": o["index"], "queries": o["queries"]},
-        {"mode": mode, "k": o["k"], "nprobe": o["nprobe"],
-         "candidate_cap": o["candidate_cap"], "run_tag": o["run_tag"]},
-    )
     _say(f"searched {len(runs)} queries ({mode}) into {out}")
-    return 0
+    return out, {"mode": mode, "k": o["k"], "nprobe": o["nprobe"],
+                 "candidate_cap": o["candidate_cap"], "run_tag": o["run_tag"]}
 
 
-def cmd_score(o: dict) -> int:
+def cmd_score(o: dict) -> Result:
     query_store = load_store(o["query_store"])
     doc_store = load_store(o["doc_store"])
     rows = []
@@ -262,38 +247,26 @@ def cmd_score(o: dict) -> int:
         if did not in doc_store.entries:
             raise ConfigError(f"{o['pairs']}:{lineno}: unknown document id {did!r}")
         rows.append((qid, did, repr(maxsim(query_store.entries[qid], doc_store.entries[did]))))
-    if o["out"]:
-        write_rows(o["out"], rows)
-        _write_manifest(
-            Path(o["out"]),
-            "score",
-            {"query-store": o["query_store"], "doc-store": o["doc_store"], "pairs": o["pairs"]},
-            {"pairs_scored": len(rows), "similarity": "maxsim, float64 accumulation"},
-        )
-        _say(f"scored {len(rows)} pairs into {o['out']}")
-    else:
+    if not o["out"]:
         sys.stdout.writelines("\t".join(row) + "\n" for row in rows)
-    return 0
+        return None
+    write_rows(o["out"], rows)
+    _say(f"scored {len(rows)} pairs into {o['out']}")
+    return Path(o["out"]), {"pairs_scored": len(rows), "similarity": "maxsim, float64 accumulation"}
 
 
-def cmd_bm25_build(o: dict) -> int:
+def cmd_bm25_build(o: dict) -> Result:
     tokenizer = Tokenizer(scheme=o["tokenizer"].replace("-", "_"), lowercase=not o["no_lowercase"])
     corpus = read_corpus_jsonl(o["corpus"])
     index = build_bm25(corpus, tokenizer, k1=o["k1"], b=o["b"])
     out = Path(o["out"])
     save_bm25(index, out)
-    _write_manifest(
-        out,
-        "bm25-build",
-        {"corpus": o["corpus"]},
-        {"tokenizer": tokenizer.scheme, "lowercase": tokenizer.lowercase,
-         "k1": o["k1"], "b": o["b"], "docs": index.n_docs, "terms": len(index.postings)},
-    )
     _say(f"indexed {index.n_docs} documents, {len(index.postings)} terms into {out}")
-    return 0
+    return out, {"tokenizer": tokenizer.scheme, "lowercase": tokenizer.lowercase,
+                 "k1": o["k1"], "b": o["b"], "docs": index.n_docs, "terms": len(index.postings)}
 
 
-def cmd_bm25_search(o: dict) -> int:
+def cmd_bm25_search(o: dict) -> Result:
     index = load_bm25(o["index"])
     queries = read_corpus_jsonl(o["queries"])
     runs = [
@@ -301,26 +274,22 @@ def cmd_bm25_search(o: dict) -> int:
     ]
     out = Path(o["out"])
     write_trec_run(out, runs, tag=o["run_tag"])
-    _write_manifest(
-        out,
-        "bm25-search",
-        {"index": o["index"], "queries": o["queries"]},
-        {"k": o["k"], "run_tag": o["run_tag"]},
-    )
     _say(f"searched {len(runs)} queries into {out}")
-    return 0
+    return out, {"k": o["k"], "run_tag": o["run_tag"]}
 
 
-def cmd_mine(o: dict) -> int:
+def cmd_mine(o: dict) -> Result:
     """`mine dense` mines the --runs file, `mine bm25` searches --index for --queries."""
     kind = "dense" if "runs" in o else "bm25"
     qrels = load_qrels(o["positives"])
     positives = {qid: {d for d, g in judged.items() if g > 0} for qid, judged in qrels.items()}
+    # both counts take --samples, so the other recipe's default is not checked against the pool
     cfg = MiningConfig(
         retrieve_depth=o["retrieve_depth"],
         discard_top=o["discard_top"],
+        sample_count_dense=o["samples"],
+        sample_count_bm25=o["samples"],
         seed=o["seed"],
-        **{f"sample_count_{kind}": o["samples"]},
     )
     if kind == "dense":
         runs, _ = run_lists_from_trec(o["runs"])
@@ -339,34 +308,22 @@ def cmd_mine(o: dict) -> int:
     ]
     out = Path(o["out"])
     write_jsonl(out, rows)
-    _write_manifest(
-        out,
-        f"mine-{kind}",
-        {name: o[name] for name in ("runs", "index", "queries", "positives") if name in o},
-        {"retrieve_depth": cfg.retrieve_depth, "discard_top": cfg.discard_top,
-         "samples": o["samples"], "seed": cfg.seed},
-    )
     _say(f"mined {kind} negatives for {len(rows)} queries into {out}")
-    return 0
+    return out, {"retrieve_depth": cfg.retrieve_depth, "discard_top": cfg.discard_top,
+                 "samples": o["samples"], "seed": cfg.seed}
 
 
-def cmd_transpose(o: dict) -> int:
+def cmd_transpose(o: dict) -> Result:
     table = TeacherScoreTable.from_tsv(o["scores"])
     pairs = ((qid, did) for _, (qid, did) in read_rows(o["pairs"], 2, sep="\t"))
     kept, dropped = transpose_scores(table, pairs)
     kept.write_tsv(o["out"])
     write_rows(o["dropped"], dropped)
-    _write_manifest(
-        Path(o["out"]),
-        "transpose",
-        {"scores": o["scores"], "pairs": o["pairs"]},
-        {"kept": len(kept), "dropped": len(dropped)},
-    )
     _say(f"transposed {len(kept)} scores into {o['out']} ({len(dropped)} pairs dropped)")
-    return 0
+    return Path(o["out"]), {"kept": len(kept), "dropped": len(dropped)}
 
 
-def cmd_nway(o: dict) -> int:
+def cmd_nway(o: dict) -> Result:
     table = TeacherScoreTable.from_tsv(o["scores"])
     keep_set = frozenset(did for _, (did,) in read_rows(o["keep"], 1)) if o["keep"] else frozenset()
 
@@ -412,48 +369,36 @@ def cmd_nway(o: dict) -> int:
     out = Path(o["out"])
     write_nway_jsonl(out, examples)
     write_rows(Path(o["skipped"]) if o["skipped"] else Path(str(out) + ".skipped.tsv"), skipped)
-    _write_manifest(
-        out,
-        "nway",
-        {**{f"candidates{i}": p for i, p in enumerate(o["candidates"])},
-         "scores": o["scores"], **({"keep": o["keep"]} if o["keep"] else {})},
-        {"n": o["n"], "seed": o["seed"], "examples": len(examples),
-         "skipped": len(skipped), "distillation": "KL(teacher || student)"},
-    )
     if not examples:
         raise ConfigError("no n-way examples could be built (see skipped report)")
     _say(f"built {len(examples)} {o['n']}-way examples into {out} ({len(skipped)} skipped)")
-    return 0
+    return out, {"n": o["n"], "seed": o["seed"], "examples": len(examples),
+                 "skipped": len(skipped), "distillation": "KL(teacher || student)"}
 
 
-def cmd_eval(o: dict) -> int:
+def cmd_eval(o: dict) -> Result:
     specs = [MetricSpec.parse(m) for m in o["metric"]]
     report = evaluate(o["run"], o["qrels"], specs)
     for name, values in report["metrics"].items():
         print(f"{name}\tmean\t{values['mean']:.6f}")
     for warning in report["warnings"]:
         _say(f"warning: {warning}")
-    if o["out"]:
-        write_json(o["out"], report)
-        _write_manifest(
-            Path(o["out"]),
-            "eval",
-            {"run": o["run"], "qrels": o["qrels"]},
-            {"metrics": [str(s) for s in specs]},
-        )
-        _say(f"wrote report to {o['out']}")
-    return 0
+    if not o["out"]:
+        return None
+    write_json(o["out"], report)
+    _say(f"wrote report to {o['out']}")
+    return Path(o["out"]), {"metrics": [str(s) for s in specs]}
 
 
 # ----------------------------------------------------------------------
 # command table and argument wiring
 # ----------------------------------------------------------------------
 
-COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
+COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], Result]]] = {
     "ingest": (
         [
-            Opt("corpus", required=True, help="corpus JSONL with id/text per line"),
-            Opt("embeddings", required=True, help="binary embedding file"),
+            Opt("corpus", required=True, input=True, help="corpus JSONL with id/text per line"),
+            Opt("embeddings", required=True, input=True, help="binary embedding file"),
             Opt("out", required=True, help="output store directory"),
             Opt("kind", choices=("doc", "query"), required=True, help="entry kind"),
         ],
@@ -461,7 +406,7 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
     ),
     "index": (
         [
-            Opt("store", required=True, help="ingested document store directory"),
+            Opt("store", required=True, input=True, help="ingested document store directory"),
             Opt("out", required=True, help="output index directory"),
             Opt("mode", choices=("exact", "compressed"), default="exact"),
             Opt("precision", choices=("float32", "float16"), default="float16",
@@ -474,8 +419,8 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
     ),
     "search": (
         [
-            Opt("index", required=True, help="index directory"),
-            Opt("queries", required=True, help="query store directory"),
+            Opt("index", required=True, input=True, help="index directory"),
+            Opt("queries", required=True, input=True, help="query store directory"),
             Opt("k", type=int, default=10),
             Opt("out", required=True, help="output TREC run file"),
             Opt("nprobe", type=int, default=DEFAULT_NPROBE),
@@ -486,16 +431,16 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
     ),
     "score": (
         [
-            Opt("query-store", required=True),
-            Opt("doc-store", required=True),
-            Opt("pairs", required=True, help="TSV of qid<TAB>did pairs"),
+            Opt("query-store", required=True, input=True),
+            Opt("doc-store", required=True, input=True),
+            Opt("pairs", required=True, input=True, help="TSV of qid<TAB>did pairs"),
             Opt("out", help="output TSV (default: stdout)"),
         ],
         cmd_score,
     ),
     "bm25-build": (
         [
-            Opt("corpus", required=True),
+            Opt("corpus", required=True, input=True),
             Opt("out", required=True),
             Opt("tokenizer", choices=("char-bigram", "char-unigram", "whitespace"),
                 default="char-bigram"),
@@ -507,8 +452,8 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
     ),
     "bm25-search": (
         [
-            Opt("index", required=True),
-            Opt("queries", required=True, help="queries JSONL with id/text per line"),
+            Opt("index", required=True, input=True),
+            Opt("queries", required=True, input=True, help="queries JSONL with id/text per line"),
             Opt("k", type=int, default=110),
             Opt("out", required=True),
             Opt("run-tag", default="bm25"),
@@ -517,8 +462,9 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
     ),
     "mine-dense": (
         [
-            Opt("runs", required=True, help="TREC run file at depth >= retrieve-depth"),
-            Opt("positives", required=True, help="qrels file; grades > 0 are positives"),
+            Opt("runs", required=True, input=True, help="TREC run file at depth >= retrieve-depth"),
+            Opt("positives", required=True, input=True,
+                help="qrels file; grades > 0 are positives"),
             Opt("out", required=True, help="output negatives JSONL"),
             Opt("retrieve-depth", type=int, default=110),
             Opt("discard-top", type=int, default=10),
@@ -529,9 +475,9 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
     ),
     "mine-bm25": (
         [
-            Opt("index", required=True, help="bm25 index directory"),
-            Opt("queries", required=True, help="queries JSONL"),
-            Opt("positives", required=True),
+            Opt("index", required=True, input=True, help="bm25 index directory"),
+            Opt("queries", required=True, input=True, help="queries JSONL"),
+            Opt("positives", required=True, input=True),
             Opt("out", required=True),
             Opt("retrieve-depth", type=int, default=110),
             Opt("discard-top", type=int, default=10),
@@ -542,8 +488,8 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
     ),
     "transpose": (
         [
-            Opt("scores", required=True, help="source teacher scores TSV"),
-            Opt("pairs", required=True, help="pair universe TSV"),
+            Opt("scores", required=True, input=True, help="source teacher scores TSV"),
+            Opt("pairs", required=True, input=True, help="pair universe TSV"),
             Opt("out", required=True),
             Opt("dropped", required=True, help="output TSV of pairs without scores"),
         ],
@@ -551,12 +497,12 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
     ),
     "nway": (
         [
-            Opt("candidates", required=True, multi=True,
+            Opt("candidates", required=True, multi=True, input=True,
                 help="negatives JSONL (repeatable; lists merge per query)"),
-            Opt("scores", required=True, help="teacher scores TSV"),
+            Opt("scores", required=True, input=True, help="teacher scores TSV"),
             Opt("out", required=True),
             Opt("n", type=int, default=DEFAULT_NWAY),
-            Opt("keep", help="file of doc ids to keep ahead of random fill"),
+            Opt("keep", input=True, help="file of doc ids to keep ahead of random fill"),
             Opt("seed", type=int, default=42),
             Opt("skipped", help="skipped-queries report (default: <out>.skipped.tsv)"),
         ],
@@ -564,8 +510,8 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
     ),
     "eval": (
         [
-            Opt("run", required=True),
-            Opt("qrels", required=True),
+            Opt("run", required=True, input=True),
+            Opt("qrels", required=True, input=True),
             Opt("metric", required=True, multi=True, help="e.g. ndcg@10 (repeatable)"),
             Opt("out", help="write the JSON report here"),
         ],
@@ -573,22 +519,17 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], int]]] = {
     ),
 }
 
-_GROUPED = {"bm25": ("build", "search"), "mine": ("dense", "bm25")}
 
-
-def _add_command_parser(subparsers, name: str, command: str, opts: list[Opt]) -> None:
+def _add_command_parser(subparsers, name: str, command: str) -> None:
     parser = subparsers.add_parser(name, help=f"{command} stage")
-    for opt in opts:
-        flags = [f"--{opt.name}"]
+    for opt in COMMANDS[command][0]:
         if opt.flag:
-            parser.add_argument(*flags, dest=opt.dest, action="store_const", const=True,
-                                default=None, help=opt.help)
+            kind = {"action": "store_const", "const": True}
         elif opt.multi:
-            parser.add_argument(*flags, dest=opt.dest, action="append", type=opt.type,
-                                default=None, help=opt.help)
+            kind = {"action": "append", "type": opt.type}
         else:
-            parser.add_argument(*flags, dest=opt.dest, type=opt.type, default=None,
-                                choices=opt.choices, help=opt.help)
+            kind = {"type": opt.type, "choices": opt.choices}
+        parser.add_argument(f"--{opt.name}", dest=opt.dest, default=None, help=opt.help, **kind)
     parser.add_argument("--config", default=None, help="INI config file with per-stage sections")
     parser.set_defaults(_command=command)
 
@@ -603,16 +544,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=version)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    grouped_children = {f"{g}-{s}" for g, subs in _GROUPED.items() for s in subs}
-    for command, (opts, _) in COMMANDS.items():
-        if command not in grouped_children:
-            _add_command_parser(subparsers, command, command, opts)
-    for group, subs in _GROUPED.items():
-        group_parser = subparsers.add_parser(group, help=f"{group} stages")
-        group_sub = group_parser.add_subparsers(dest="subcommand", required=True)
-        for sub in subs:
-            command = f"{group}-{sub}"
-            _add_command_parser(group_sub, sub, command, COMMANDS[command][0])
+    # single commands first, then groups: command `bm25-build` is `lateir bm25 build`
+    groups: dict[str, Any] = {}
+    for command in sorted(COMMANDS, key=lambda c: "-" in c):
+        group, _, sub = command.partition("-")
+        if not sub:
+            _add_command_parser(subparsers, command, command)
+            continue
+        if group not in groups:
+            group_parser = subparsers.add_parser(group, help=f"{group} stages")
+            groups[group] = group_parser.add_subparsers(dest="subcommand", required=True)
+        _add_command_parser(groups[group], sub, command)
 
     pipeline = subparsers.add_parser("pipeline", help="run one stage from a config file")
     pipeline.add_argument("--config", required=True)
@@ -621,30 +563,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_pipeline(config: str | Path, stage: str, overrides: dict | None = None) -> int:
+def _run(command: str, ns: argparse.Namespace) -> int:
+    """Run one stage and, once it has succeeded, write its output's manifest."""
+    opts, handler = COMMANDS[command]
+    o = _resolve_options(command, opts, ns)
+    if (result := handler(o)) is not None:
+        inputs: dict[str, str] = {}
+        for opt in (opt for opt in opts if opt.input and o[opt.dest]):
+            if opt.multi:
+                inputs.update((f"{opt.name}{i}", p) for i, p in enumerate(o[opt.dest]))
+            else:
+                inputs[opt.name] = o[opt.dest]
+        _write_manifest(result[0], command, inputs, result[1])
+    return 0
+
+
+def run_pipeline(config: str | Path, stage: str) -> int:
     """Execute one stage with options taken from the config file."""
     if stage not in COMMANDS:
         raise ConfigError(f"unknown stage {stage!r}")
-    opts, handler = COMMANDS[stage]
-    ns = argparse.Namespace(config=str(config), **{o.dest: None for o in opts})
-    for key, value in (overrides or {}).items():
-        setattr(ns, key, value)
-    resolved = _resolve_options(stage, opts, ns)
-    return handler(resolved)
+    return _run(stage, argparse.Namespace(config=str(config)))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         if ns._command == "pipeline":
             return run_pipeline(ns.config, ns.stage)
-        opts, handler = COMMANDS[ns._command]
-        return handler(_resolve_options(ns._command, opts, ns))
-    except EngineError as exc:
-        _say(f"error: {exc}")
-        return 2
-    except (ValueError, OSError) as exc:
+        return _run(ns._command, ns)
+    except (EngineError, ValueError, OSError) as exc:
         _say(f"error: {exc}")
         return 2
 

@@ -164,13 +164,9 @@ def train_codebook(
 
 def _quantize(residuals: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
     """Bucket each residual value: code = number of cutoffs strictly below it."""
-    n = residuals.shape[0]
-    codes = np.empty(residuals.shape, dtype=np.uint8)
-    for start in range(0, n, _ASSIGN_CHUNK * 8):
-        chunk = residuals[start : start + _ASSIGN_CHUNK * 8]
-        codes[start : start + _ASSIGN_CHUNK * 8] = (
-            (chunk[:, :, None] > cutoffs[None, :, :]).sum(axis=2).astype(np.uint8)
-        )
+    codes = np.zeros(residuals.shape, dtype=np.uint8)
+    for cutoff in cutoffs.T:
+        codes += residuals > cutoff
     return codes
 
 

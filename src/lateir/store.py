@@ -568,7 +568,7 @@ def load_store(directory: str | Path) -> EmbeddingStore:
 
 
 def read_corpus_jsonl(path: str | Path) -> list[CorpusRecord]:
-    """Read a JSONL corpus; ids must be non-empty and unique."""
+    """Read a JSONL corpus; ids must be non-empty, unique and hold no whitespace."""
     records: list[CorpusRecord] = []
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path):
@@ -577,6 +577,8 @@ def read_corpus_jsonl(path: str | Path) -> list[CorpusRecord]:
         doc_id = str(obj["id"])
         if not doc_id:
             raise ParseError("empty id", lineno)
+        if doc_id.split() != [doc_id]:
+            raise ParseError(f"id {doc_id!r} contains whitespace", lineno)
         if doc_id in seen:
             raise DuplicateDocId(f"duplicate id {doc_id!r} at line {lineno}")
         seen.add(doc_id)

@@ -232,6 +232,11 @@ class TestPersistence:
             == search_bm25(index, query, t, k=25).entries
         )
 
+    def test_empty_index_round_trip(self, tmp_path):
+        save_bm25(build_bm25([], Tokenizer()), tmp_path / "bm25")
+        back = load_bm25(tmp_path / "bm25")
+        assert back.n_docs == 0 and back.avgdl == 0.0
+
     def test_identical_bytes_across_builds(self, tmp_path, rng):
         corpus = random_corpus(rng, 15)
         t = Tokenizer("char_bigram")

@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from lateir.cli import main, run_pipeline
+from lateir.cli import COMMANDS, main, run_pipeline
 from lateir.ranking import read_trec_run
 from lateir.store import write_embedding_file
 
@@ -203,6 +203,14 @@ class TestScore:
 
 
 class TestBM25Cli:
+    def test_id_with_whitespace_rejected(self, workspace, capsys):
+        corpus = workspace / "spaced.jsonl"
+        corpus.write_text('{"id": "d00", "text": "x"}\n{"id": "a b", "text": "y"}\n')
+        assert main(["bm25", "build", "--corpus", str(corpus),
+                     "--out", str(workspace / "bm25-idx")]) == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (workspace / "bm25-idx").exists()
+
     def test_build_and_search(self, workspace):
         idx = workspace / "bm25-idx"
         run_ok([
@@ -347,6 +355,107 @@ class TestMiningCli:
         ])
         assert out.read_text() == "q1\td1\t0.125000\n"
         assert dropped.read_text() == "q1\tdX\n"
+
+
+    def test_sample_count_checked_only_for_the_mined_kind(self, workspace):
+        # the pool (depth - discard) holds the requested sample count but not the
+        # other kind's default (25 for dense, 10 for BM25)
+        self._dense_run(workspace)
+        run_ok(["bm25", "build", "--corpus", str(workspace / "corpus.jsonl"),
+                "--out", str(workspace / "bm25-idx")])
+        positives = ["--positives", str(workspace / "qrels.txt"), "--samples", "5"]
+        run_ok(["mine", "dense", "--runs", str(workspace / "deep.trec"), *positives,
+                "--out", str(workspace / "dense.jsonl"), "--retrieve-depth", "15"])
+        run_ok(["mine", "bm25", "--index", str(workspace / "bm25-idx"),
+                "--queries", str(workspace / "queries.jsonl"), *positives,
+                "--out", str(workspace / "bm25neg.jsonl"), "--retrieve-depth", "30"])
+        for name, key in (("dense.jsonl", "dense_negatives"), ("bm25neg.jsonl", "bm25_negatives")):
+            rows = [json.loads(line) for line in (workspace / name).read_text().splitlines()]
+            assert len(rows) == 6 and all(len(row[key]) <= 5 for row in rows)
+
+
+class TestManifests:
+    def test_every_stage_names_its_command_and_given_inputs(self, workspace):
+        w = {name: str(workspace / name) for name in (
+            "corpus.jsonl", "docs.bin", "queries.jsonl", "queries.bin", "qrels.txt", "docstore",
+            "qstore", "exact-idx", "deep.trec", "pairs.tsv", "english.tsv", "bm25-idx",
+            "bm25.trec", "dense.jsonl", "bm25neg.jsonl", "scores.tsv", "dropped.tsv",
+            "keep.txt", "nway.jsonl", "nway-keep.jsonl", "report.json")}
+        (workspace / "pairs.tsv").write_text(
+            "".join(f"q{i}\td{j:02d}\n" for i in range(6) for j in range(40)))
+        (workspace / "keep.txt").write_text("d20\nd21\n")
+        mining = ["--positives", w["qrels.txt"], "--retrieve-depth", "40", "--discard-top", "5",
+                  "--samples", "8"]
+        nway = ["nway", "--candidates", w["dense.jsonl"], "--candidates", w["bm25neg.jsonl"],
+                "--scores", w["scores.tsv"], "--n", "8"]
+        # command, argv, manifest path, expected input names
+        stages = [
+            ("ingest", ["ingest", "--corpus", w["corpus.jsonl"], "--embeddings", w["docs.bin"],
+                        "--out", w["docstore"], "--kind", "doc"],
+             "docstore/run-manifest.json", {"corpus", "embeddings"}),
+            ("ingest", ["ingest", "--corpus", w["queries.jsonl"], "--embeddings", w["queries.bin"],
+                        "--out", w["qstore"], "--kind", "query"],
+             "qstore/run-manifest.json", {"corpus", "embeddings"}),
+            ("index", ["index", "--store", w["docstore"], "--out", w["exact-idx"]],
+             "exact-idx/run-manifest.json", {"store"}),
+            ("search", ["search", "--index", w["exact-idx"], "--queries", w["qstore"],
+                        "--k", "40", "--out", w["deep.trec"]],
+             "deep.trec.manifest.json", {"index", "queries"}),
+            ("score", ["score", "--query-store", w["qstore"], "--doc-store", w["docstore"],
+                       "--pairs", w["pairs.tsv"], "--out", w["english.tsv"]],
+             "english.tsv.manifest.json", {"query-store", "doc-store", "pairs"}),
+            ("transpose", ["transpose", "--scores", w["english.tsv"], "--pairs", w["pairs.tsv"],
+                           "--out", w["scores.tsv"], "--dropped", w["dropped.tsv"]],
+             "scores.tsv.manifest.json", {"scores", "pairs"}),
+            ("bm25-build", ["bm25", "build", "--corpus", w["corpus.jsonl"], "--out", w["bm25-idx"]],
+             "bm25-idx/run-manifest.json", {"corpus"}),
+            ("bm25-search", ["bm25", "search", "--index", w["bm25-idx"],
+                             "--queries", w["queries.jsonl"], "--out", w["bm25.trec"]],
+             "bm25.trec.manifest.json", {"index", "queries"}),
+            ("mine-dense", ["mine", "dense", "--runs", w["deep.trec"], *mining,
+                            "--out", w["dense.jsonl"]],
+             "dense.jsonl.manifest.json", {"runs", "positives"}),
+            ("mine-bm25", ["mine", "bm25", "--index", w["bm25-idx"], "--queries", w["queries.jsonl"],
+                           *mining, "--out", w["bm25neg.jsonl"]],
+             "bm25neg.jsonl.manifest.json", {"index", "queries", "positives"}),
+            ("nway", [*nway, "--out", w["nway.jsonl"]],
+             "nway.jsonl.manifest.json", {"candidates0", "candidates1", "scores"}),
+            ("nway", [*nway, "--keep", w["keep.txt"], "--out", w["nway-keep.jsonl"]],
+             "nway-keep.jsonl.manifest.json", {"candidates0", "candidates1", "scores", "keep"}),
+            ("eval", ["eval", "--run", w["deep.trec"], "--qrels", w["qrels.txt"],
+                      "--metric", "ndcg@10", "--out", w["report.json"]],
+             "report.json.manifest.json", {"run", "qrels"}),
+        ]
+        assert {stage[0] for stage in stages} == set(COMMANDS)
+        for command, argv, manifest_path, inputs in stages:
+            run_ok(argv)
+            manifest = json.loads((workspace / manifest_path).read_text())
+            assert manifest["command"] == command
+            assert set(manifest["inputs"]) == inputs, command
+        manifest = json.loads((workspace / "nway.jsonl.manifest.json").read_text())
+        candidates = [manifest["inputs"][f"candidates{i}"]["path"] for i in range(2)]
+        assert candidates == [w["dense.jsonl"], w["bm25neg.jsonl"]]
+
+    def test_failed_stage_writes_outputs_but_no_manifest(self, workspace, capsys):
+        candidates = workspace / "cands.jsonl"
+        candidates.write_text('{"qid": "q0", "positives": ["d00"], "dense_negatives": ["d01"]}\n')
+        scores = workspace / "scores.tsv"
+        scores.write_text("q0\td00\t2.0\nq0\td01\t1.0\n")
+        out = workspace / "nway.jsonl"
+        assert main(["nway", "--candidates", str(candidates), "--scores", str(scores),
+                     "--n", "4", "--out", str(out)]) == 2
+        assert "no n-way examples" in capsys.readouterr().err
+        assert out.read_text() == ""
+        assert (workspace / "nway.jsonl.skipped.tsv").read_text().startswith("q0\t")
+        assert not (workspace / "nway.jsonl.manifest.json").exists()
+
+    def test_stdout_output_writes_no_manifest(self, workspace, capsys):
+        run = workspace / "fixture.trec"
+        run.write_text("q0 Q0 d00 1 2.0 t\n")
+        run_ok(["eval", "--run", str(run), "--qrels", str(workspace / "qrels.txt"),
+                "--metric", "ndcg@10"])
+        assert "ndcg@10" in capsys.readouterr().out
+        assert not list(workspace.glob("*manifest.json"))
 
 
 class TestConfigFile:

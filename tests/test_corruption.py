@@ -179,6 +179,19 @@ def test_mistyped_metadata(indexes, tmp_path, kind, name, key, value):
             LOADERS[kind](work)
 
 
+@pytest.mark.parametrize("avgdl", [0.0, 1e9, "shifted"])
+def test_bm25_avgdl_must_match_doc_lengths(indexes, tmp_path, avgdl, capsys):
+    meta = json.loads((indexes / "bm25" / "meta.json").read_bytes())
+    if avgdl == "shifted":
+        avgdl = float(np.nextafter(meta["avgdl"], np.inf))
+    variant = json.dumps({**meta, "avgdl": avgdl}).encode("utf-8")
+    for work in _damaged_copies(indexes, tmp_path, "bm25", "meta.json", [variant]):
+        with pytest.raises(FormatError, match="avgdl"):
+            load_bm25(work)
+        assert main(_reader_argv(indexes, tmp_path, "bm25", work)) == 2
+        assert "avgdl" in capsys.readouterr().err
+
+
 # --- meta.json names each index's mode and format version -------------------
 
 INDEX_KINDS = ("exact", "compressed", "bm25")

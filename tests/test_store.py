@@ -335,6 +335,16 @@ class TestCorpusJsonl:
         with pytest.raises(ParseError):
             read_corpus_jsonl(path)
 
+    @pytest.mark.parametrize("doc_id", ["a b", "a\tb", "a\nb", " a", "a\u3000b"])
+    def test_whitespace_in_id_rejected(self, tmp_path, doc_id):
+        # a TREC run line splits on whitespace, so such an id could not be read back
+        path = tmp_path / "c.jsonl"
+        lines = [{"id": "ok", "text": "x"}, {"id": doc_id, "text": "y"}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(ParseError) as info:
+            read_corpus_jsonl(path)
+        assert info.value.line == 2
+
 
 class TestTextLines:
     def test_whitespace_rows_skip_blank_lines(self, tmp_path):
