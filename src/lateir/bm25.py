@@ -12,16 +12,17 @@ with k1 = 0.9 and b = 0.4 by default.  The +1 inside the log keeps idf
 non-negative.  Repeated query tokens contribute once per occurrence.
 
 Index directory layout: ``postings.bin`` (array container, magic LIBP:
-sorted terms, int64 posting offsets, doc indexes, term frequencies),
-``doclens.bin`` (magic LIDL: doc ids, int64 lengths), ``meta.json`` (mode
-``bm25``, see ``store.save_index``; tokenizer scheme, parameters, counts).
+sorted terms, int64 posting offsets, doc indexes ascending within each term,
+term frequencies >= 1, then the doc ids) and ``meta.json`` (mode ``bm25``,
+see ``store.save_index``; tokenizer scheme, parameters, counts).  Document
+lengths and avgdl are derived from the postings, never stored.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -33,7 +34,6 @@ from .store import INDEX_FORMAT_VERSION, CorpusRecord, check_format, check_offse
 from .store import pack_strings, read_arrays, read_index_meta, save_index, unpack_strings
 
 POSTINGS_MAGIC = b"LIBP"
-DOCLENS_MAGIC = b"LIDL"
 
 SCHEMES = ("char_bigram", "char_unigram", "whitespace")
 
@@ -65,13 +65,29 @@ def tokenize(text: str, t: Tokenizer) -> list[str]:
 
 @dataclass
 class BM25Index:
+    """What postings.bin holds: the postings of terms[i] are docs and tfs at
+    bounds[i]:bounds[i + 1].  The term -> (docs, tfs) views, each document's
+    length (the sum of its tfs) and avgdl are derived in __post_init__."""
+
     tokenizer: Tokenizer
     k1: float
     b: float
     doc_ids: list[str]
-    doc_lengths: np.ndarray  # (N,) int64 token counts
-    avgdl: float
-    postings: dict[str, tuple[np.ndarray, np.ndarray]]  # term -> (doc indexes, tfs)
+    terms: list[str]  # sorted
+    bounds: np.ndarray  # (T + 1,) int64 posting offsets
+    docs: np.ndarray  # int64 doc indexes
+    tfs: np.ndarray  # int64 term frequencies
+    postings: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+    doc_lengths: np.ndarray = field(init=False, repr=False)  # (N,) int64 token counts
+    avgdl: float = field(init=False)
+
+    def __post_init__(self):
+        docs, tfs, cuts = self.docs, self.tfs, self.bounds.tolist()
+        self.postings = {t: (docs[lo:hi], tfs[lo:hi])
+                         for t, lo, hi in zip(self.terms, cuts, cuts[1:])}
+        self.doc_lengths = np.zeros(self.n_docs, dtype=np.int64)
+        np.add.at(self.doc_lengths, docs, tfs)  # int64 sums, no float64 copy of tfs
+        self.avgdl = float(self.doc_lengths.mean()) if self.n_docs else 0.0
 
     @property
     def n_docs(self) -> int:
@@ -83,48 +99,34 @@ class BM25Index:
         return math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
-def build_bm25(
-    corpus: Iterable[CorpusRecord],
-    t: Tokenizer,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-) -> BM25Index:
+def build_bm25(corpus: Iterable[CorpusRecord], t: Tokenizer, k1: float = DEFAULT_K1,
+               b: float = DEFAULT_B) -> BM25Index:
     if k1 < 0:
         raise ValueError("k1 must be >= 0")
     if not 0.0 <= b <= 1.0:
         raise ValueError("b must be in [0, 1]")
     doc_ids: list[str] = []
-    lengths: list[int] = []
-    raw_postings: dict[str, list[tuple[int, int]]] = {}
     seen: set[str] = set()
+    first: dict[str, int] = {}  # term -> number in order of first occurrence
+    keys, docs, tfs = [], [], []  # one posting per distinct term of each document
     for record in corpus:
         if record.id in seen:
             raise DuplicateDocId(f"duplicate id {record.id!r}")
         seen.add(record.id)
-        idx = len(doc_ids)
+        counts = Counter(tokenize(record.text, t))
+        keys += [first.setdefault(term, len(first)) for term in counts]
+        docs += [len(doc_ids)] * len(counts)
+        tfs += counts.values()
         doc_ids.append(record.id)
-        tokens = tokenize(record.text, t)
-        lengths.append(len(tokens))
-        for term, tf in Counter(tokens).items():
-            raw_postings.setdefault(term, []).append((idx, tf))
-    postings = {
-        term: (
-            np.array([d for d, _ in entries], dtype=np.int64),
-            np.array([tf for _, tf in entries], dtype=np.int64),
-        )
-        for term, entries in raw_postings.items()
-    }
-    doc_lengths = np.array(lengths, dtype=np.int64)
-    avgdl = float(doc_lengths.mean()) if len(doc_ids) else 0.0
-    return BM25Index(
-        tokenizer=t,
-        k1=k1,
-        b=b,
-        doc_ids=doc_ids,
-        doc_lengths=doc_lengths,
-        avgdl=avgdl,
-        postings=postings,
-    )
+    vocab = sorted(first)
+    rank = np.empty(len(vocab), dtype=np.int64)  # first-occurrence number -> sorted position
+    rank[[first[term] for term in vocab]] = np.arange(len(vocab))
+    keys = rank[np.array(keys, dtype=np.int64)]
+    order = np.argsort(keys, kind="stable")  # doc indexes stay ascending within a term
+    bounds = np.zeros(len(vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=len(vocab)), out=bounds[1:])
+    return BM25Index(t, k1, b, doc_ids, vocab, bounds,
+                     np.array(docs, dtype=np.int64)[order], np.array(tfs, dtype=np.int64)[order])
 
 
 def search_bm25(
@@ -156,65 +158,37 @@ def search_bm25(
 
 
 def save_bm25(index: BM25Index, directory: str | Path) -> None:
-    terms = sorted(index.postings)
-    docs, tfs = zip(*(index.postings[term] for term in terms)) if terms else ((), ())
-    counts = [0] + [d.size for d in docs]
-    postings = [*pack_strings(terms), np.cumsum(counts, dtype=np.int64),
-                np.concatenate([np.zeros(0, np.int64), *docs]),
-                np.concatenate([np.zeros(0, np.int64), *tfs])]
-    doclens = [*pack_strings(index.doc_ids), index.doc_lengths]
-    meta = {
-        "mode": "bm25",
-        "scheme": index.tokenizer.scheme,
-        "lowercase": index.tokenizer.lowercase,
-        "k1": index.k1,
-        "b": index.b,
-        "doc_count": index.n_docs,
-        "term_count": len(index.postings),
-        "avgdl": index.avgdl,
-    }
-    files = {"postings.bin": (POSTINGS_MAGIC, postings), "doclens.bin": (DOCLENS_MAGIC, doclens)}
-    save_index(directory, meta, files)
+    postings = [*pack_strings(index.terms), index.bounds, index.docs, index.tfs,
+                *pack_strings(index.doc_ids)]
+    t = index.tokenizer
+    meta = {"mode": "bm25", "scheme": t.scheme, "lowercase": t.lowercase, "k1": index.k1,
+            "b": index.b, "doc_count": index.n_docs, "term_count": len(index.terms)}
+    save_index(directory, meta, {"postings.bin": (POSTINGS_MAGIC, postings)})
 
 
 def load_bm25(directory: str | Path) -> BM25Index:
     directory = Path(directory)
-    number = (int, float)
     keys = {"scheme": str, "lowercase": bool, "doc_count": int, "term_count": int,
-            "k1": number, "b": number, "avgdl": number}
+            "k1": (int, float), "b": (int, float)}
     meta = read_index_meta(directory, "bm25", keys)
     check_format(meta["scheme"] in SCHEMES, directory, f"unknown tokenizer {meta['scheme']!r}")
-    tokenizer = Tokenizer(scheme=meta["scheme"], lowercase=meta["lowercase"])
     n_docs, n_terms = meta["doc_count"], meta["term_count"]
 
-    path = directory / "doclens.bin"
-    id_blob, id_offsets, doc_lengths = read_arrays(
-        path, DOCLENS_MAGIC, INDEX_FORMAT_VERSION, ["u1", "<i8", "<i8"]
-    )
-    doc_ids = unpack_strings(id_blob, id_offsets, path)
-    shapes = (len(doc_ids), doc_lengths.shape)
-    check_format(shapes == (n_docs, (n_docs,)), path, f"shapes {shapes} disagree with meta.json")
-    avgdl = float(doc_lengths.mean()) if n_docs else 0.0
-    check_format(meta["avgdl"] == avgdl, path, f"meta.json avgdl is not the mean length {avgdl!r}")
-
     path = directory / "postings.bin"
-    term_blob, term_offsets, bounds, docs, tfs = read_arrays(
-        path, POSTINGS_MAGIC, INDEX_FORMAT_VERSION, ["u1", "<i8", "<i8", "<i8", "<i8"]
+    term_blob, term_offsets, bounds, docs, tfs, id_blob, id_offsets = read_arrays(
+        path, POSTINGS_MAGIC, INDEX_FORMAT_VERSION, ["u1", "<i8", "<i8", "<i8", "<i8", "u1", "<i8"]
     )
     terms = unpack_strings(term_blob, term_offsets, path)
-    shapes = (len(terms), bounds.shape, docs.shape, tfs.shape)
-    want = (n_terms, (n_terms + 1,), (docs.size,), (docs.size,))
+    doc_ids = unpack_strings(id_blob, id_offsets, path)
+    shapes = (len(terms), len(doc_ids), bounds.shape, docs.shape, tfs.shape)
+    want = (n_terms, n_docs, (n_terms + 1,), (docs.size,), (docs.size,))
     check_format(shapes == want, path, f"shapes {shapes} disagree with meta.json {want}")
-    check_offsets(bounds, docs.size, path, "posting offsets")
+    check_offsets(bounds, docs.size, path, "posting offsets", min_step=1)
     in_range = docs.size == 0 or (docs.min() >= 0 and docs.max() < n_docs)
     check_format(bool(in_range), path, f"posting doc index outside [0, {n_docs})")
-    cuts = bounds.tolist()
-    return BM25Index(
-        tokenizer=tokenizer,
-        k1=float(meta["k1"]),
-        b=float(meta["b"]),
-        doc_ids=doc_ids,
-        doc_lengths=doc_lengths,
-        avgdl=avgdl,
-        postings={t: (docs[lo:hi], tfs[lo:hi]) for t, lo, hi in zip(terms, cuts, cuts[1:])},
-    )
+    check_format(bool(np.all(tfs >= 1)), path, "term frequency below 1")
+    rising = docs[1:] > docs[:-1]
+    rising[bounds[1:-1] - 1] = True  # each list's first doc index may be any
+    check_format(bool(rising.all()), path, "doc indexes not strictly ascending in a posting list")
+    return BM25Index(Tokenizer(meta["scheme"], meta["lowercase"]), float(meta["k1"]),
+                     float(meta["b"]), doc_ids, terms, bounds, docs, tfs)

@@ -7,7 +7,8 @@ stage straight from a config file.
 Options resolve in precedence order: explicit flag > config file value >
 built-in default.  The config file is INI-style with one section per stage
 (`[ingest]`, `[bm25-build]`, ...); keys are the long flag names without
-dashes.  All randomness flows from explicit seeds.
+dashes, and an unknown section or key or a bad value is a ConfigError.
+All randomness flows from explicit seeds.
 
 Each handler returns its output path and parameters, or None when it
 printed to stdout.  One runner, `_run`, resolves a command's options, calls
@@ -127,30 +128,52 @@ def _bool_from_config(raw: str) -> bool:
         return True
     if value in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _centroids(raw: str) -> str | int:
+    """The --k-centroids value: 'auto' or an integer >= 1."""
+    if raw == "auto" or raw.isdecimal() and int(raw) >= 1:
+        return raw if raw == "auto" else int(raw)
+    raise argparse.ArgumentTypeError(f"expected 'auto' or an integer >= 1, got {raw!r}")
+
+
+def _read_config(path: str) -> configparser.ConfigParser:
+    """The INI file at path; ConfigError if it does not parse, names a section that is
+    no command, or sets a key its command lacks ([DEFAULT] keys apply where known)."""
+    config = configparser.ConfigParser(interpolation=None)
+    try:
+        if not config.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise ConfigError(f"bad config file: {exc}") from exc
+    for section in config.sections():
+        if section not in COMMANDS:
+            raise ConfigError(f"{path}: section [{section}] names no command")
+        known, defaults = {opt.name for opt in COMMANDS[section][0]}, config.defaults()
+        # the section set every key whose value is not [DEFAULT]'s
+        unknown = [key for key, value in config.items(section, raw=True)
+                   if key not in known and defaults.get(key) != value]
+        if unknown:
+            raise ConfigError(f"{path}: [{section}] has no key {unknown[0]!r}")
+    return config
 
 
 def _resolve_options(
     command: str, opts: Sequence[Opt], ns: argparse.Namespace
 ) -> dict[str, Any]:
     given = vars(ns)
-    config = None
-    config_path = given.get("config")
-    if config_path:
-        config = configparser.ConfigParser(interpolation=None)
-        if not config.read(config_path, encoding="utf-8"):
-            raise ConfigError(f"config file not found: {config_path}")
+    config = _read_config(given["config"]) if given.get("config") else None
     resolved: dict[str, Any] = {}
     for opt in opts:
         value = given.get(opt.dest)
         if value is None and config is not None and config.has_option(command, opt.name):
             raw = config.get(command, opt.name)
-            if opt.flag:
-                value = _bool_from_config(raw)
-            elif opt.multi:
-                value = [opt.type(v) for v in raw.split()]
-            else:
-                value = opt.type(raw)
+            convert = _bool_from_config if opt.flag else opt.type
+            try:
+                value = [convert(v) for v in raw.split()] if opt.multi else convert(raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ConfigError(f"{command}: bad '--{opt.name}' in config: {exc}") from exc
         if value is None:
             if opt.required:
                 raise ConfigError(f"{command}: missing required option '--{opt.name}'")
@@ -195,12 +218,11 @@ def cmd_index(o: dict) -> Result:
         params = {"mode": "exact", "precision": o["precision"], "docs": index.n_docs}
     else:
         total = store.total_tokens
-        if o["k_centroids"] == "auto":
+        k = o["k_centroids"]
+        if k == "auto":
             k = default_centroid_count(total)
             while k > total:
                 k //= 2
-        else:
-            k = int(o["k_centroids"])
         codebook = train_codebook(store, k, iterations=o["iterations"], seed=o["seed"])
         index = compress(store, codebook)
         index.params["iterations"] = o["iterations"]
@@ -411,7 +433,7 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], Result]]] = {
             Opt("mode", choices=("exact", "compressed"), default="exact"),
             Opt("precision", choices=("float32", "float16"), default="float16",
                 help="storage precision for exact mode"),
-            Opt("k-centroids", default="auto", help="centroid count or 'auto'"),
+            Opt("k-centroids", type=_centroids, default="auto", help="centroid count or 'auto'"),
             Opt("iterations", type=int, default=DEFAULT_ITERATIONS, help="k-means iterations"),
             Opt("seed", type=int, default=42),
         ],

@@ -19,7 +19,8 @@ is three container records (``table_arrays``), read and checked against
 ``meta.json`` by ``read_table``.
 
 An index directory holds array containers plus ``meta.json``, which records
-its ``mode`` and ``format_version`` (``save_index`` / ``read_index_meta``).
+its ``mode`` and ``format_version`` (``save_index`` / ``read_index_meta``);
+a BM25 index is one container, ``postings.bin`` (see ``bm25``).
 Every index file is an array container: magic (4 bytes) | u32 format
 version | u32 array count, then one ``.npy`` record per array.
 Strings are stored as a UTF-8 blob (uint8) plus int64 byte offsets, and a
@@ -54,7 +55,7 @@ from .errors import DuplicateDocId, EmptyStore, FormatError, LengthError, ParseE
 
 EMBEDDING_MAGIC = b"LIEM"
 EMBEDDING_FORMAT_VERSION = 1
-INDEX_FORMAT_VERSION = 3
+INDEX_FORMAT_VERSION = 4
 _HEADER = struct.Struct("<4sIIBQ")
 _ARRAYS_HEADER = struct.Struct("<4sII")
 

@@ -3,6 +3,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from lateir.bm25 import (
@@ -13,6 +14,7 @@ from lateir.bm25 import (
     search_bm25,
     tokenize,
 )
+from lateir.cli import main
 from lateir.errors import ConfigError, DuplicateDocId, FormatError
 from lateir.store import CorpusRecord
 
@@ -108,7 +110,7 @@ class TestBuild:
             build_bm25(corpus, Tokenizer("char_bigram"))
 
     def test_lengths_sum_to_doc_length(self, rng):
-        corpus = random_corpus(rng, 20)
+        corpus = [CorpusRecord("empty", ""), *random_corpus(rng, 20), CorpusRecord("blank", " \n")]
         t = Tokenizer("char_bigram")
         index = build_bm25(corpus, t)
         totals = {i: 0 for i in range(len(corpus))}
@@ -116,7 +118,10 @@ class TestBuild:
             for d, tf in zip(docs, tfs):
                 totals[int(d)] += int(tf)
         for i, record in enumerate(corpus):
-            assert totals[i] == len(tokenize(record.text, t))
+            assert totals[i] == index.doc_lengths[i] == len(tokenize(record.text, t))
+        assert index.doc_lengths[0] == index.doc_lengths[-1] == 0
+        assert index.doc_lengths.dtype == np.int64
+        assert index.avgdl == float(np.mean(index.doc_lengths))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -217,15 +222,18 @@ class TestSearch:
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path, rng):
-        corpus = random_corpus(rng, 25)
+        corpus = random_corpus(rng, 25) + [CorpusRecord("empty", " ")]
         t = Tokenizer("char_bigram")
         index = build_bm25(corpus, t, k1=1.2, b=0.75)
         save_bm25(index, tmp_path / "bm25")
         back = load_bm25(tmp_path / "bm25")
         assert back.tokenizer == t
         assert back.k1 == 1.2 and back.b == 0.75
-        assert back.doc_ids == index.doc_ids
-        assert back.avgdl == index.avgdl
+        assert (back.doc_ids, back.terms, back.avgdl) == (index.doc_ids, index.terms, index.avgdl)
+        for name in ("bounds", "docs", "tfs", "doc_lengths"):
+            got, want = getattr(back, name), getattr(index, name)
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), name
+        assert back.postings.keys() == index.postings.keys()
         query = "abcdef"
         assert (
             search_bm25(back, query, t, k=25).entries
@@ -233,16 +241,20 @@ class TestPersistence:
         )
 
     def test_empty_index_round_trip(self, tmp_path):
-        save_bm25(build_bm25([], Tokenizer()), tmp_path / "bm25")
-        back = load_bm25(tmp_path / "bm25")
-        assert back.n_docs == 0 and back.avgdl == 0.0
+        index = build_bm25([], Tokenizer())
+        save_bm25(index, tmp_path / "bm25")
+        for got in (index, load_bm25(tmp_path / "bm25")):
+            assert got.n_docs == 0 and got.avgdl == 0.0 and got.terms == [] and got.postings == {}
+            assert got.bounds.tolist() == [0]
+            assert got.docs.size == got.tfs.size == got.doc_lengths.size == 0
 
     def test_identical_bytes_across_builds(self, tmp_path, rng):
         corpus = random_corpus(rng, 15)
         t = Tokenizer("char_bigram")
         for name in ("one", "two"):
             save_bm25(build_bm25(corpus, t), tmp_path / name)
-        for filename in ("postings.bin", "doclens.bin", "meta.json"):
+        assert sorted(p.name for p in (tmp_path / "one").iterdir()) == ["meta.json", "postings.bin"]
+        for filename in ("postings.bin", "meta.json"):
             assert (tmp_path / "one" / filename).read_bytes() == (
                 tmp_path / "two" / filename
             ).read_bytes()
@@ -258,7 +270,7 @@ class TestLoadChecks:
         with pytest.raises(FormatError, match=match):
             load_bm25(directory)
 
-    @pytest.mark.parametrize("name", ["postings.bin", "doclens.bin"])
+    @pytest.mark.parametrize("name", ["postings.bin"])
     def test_file_version_checked(self, saved, name):
         data = bytearray((saved / name).read_bytes())
         data[4:8] = struct.pack("<I", 1)
@@ -278,3 +290,25 @@ class TestLoadChecks:
     def test_doc_index_out_of_range(self, saved, value):
         edit_container(saved / "postings.bin", 3, set_item(0, value))
         self._expect_format_error(saved, "doc index")
+
+    # postings.bin arrays 3 (doc indexes) and 4 (tfs); the first term's list holds
+    # two or more documents, so doc-twice repeats its first document in it
+    @pytest.mark.parametrize(
+        "record, edit, match",
+        [(4, set_item(0, 0), "term frequency"), (4, set_item(0, -3), "term frequency"),
+         (3, lambda a: a[[0, 0, *range(2, a.size)]], "ascending")],
+        ids=["tf-zero", "tf-negative", "doc-twice"],
+    )
+    def test_inconsistent_postings_rejected(self, saved, capsys, record, edit, match):
+        edit_container(saved / "postings.bin", record, edit)
+        self._expect_format_error(saved, match)
+        queries = saved.parent / "queries.jsonl"
+        queries.write_text('{"id": "q", "text": "ab"}\n', encoding="utf-8")
+        argv = ["bm25", "search", "--index", str(saved), "--queries", str(queries),
+                "--out", str(saved.parent / "run.trec")]
+        assert main(argv) == 2
+        assert match in capsys.readouterr().err
+
+    def test_term_without_postings_rejected(self, saved):
+        edit_container(saved / "postings.bin", 2, set_item(1, 0))
+        self._expect_format_error(saved, "posting offsets")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lateir.cli import COMMANDS, main, run_pipeline
+from lateir.errors import ConfigError
 from lateir.ranking import read_trec_run
 from lateir.store import write_embedding_file
 
@@ -532,6 +533,68 @@ class TestConfigFile:
     def test_missing_config_file(self, workspace, capsys):
         assert main(["ingest", "--config", str(workspace / "nope.cfg")]) == 2
 
+    def _eval_config(self, workspace, extra):
+        """A config whose [eval] section evaluates a one-line run, plus extra lines."""
+        run = workspace / "fixture.trec"
+        run.write_text("q0 Q0 d00 1 2.0 t\n")
+        cfg = workspace / "typo.cfg"
+        cfg.write_text(f"[eval]\nrun = {run}\nqrels = {workspace / 'qrels.txt'}\n"
+                       f"metric = ndcg@10\n{extra}")
+        return cfg
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [("outs = report.json\n", ["[eval]", "'outs'"]),
+         ("[evall]\nout = report.json\n", ["[evall]"]),
+         ("outs = report.json\n[DEFAULT]\nouts = a.json\n", ["[eval]", "'outs'"]),
+         ("[eval]\nout = report.json\n", ["section 'eval' already exists"]),
+         ("out\n", ["typo.cfg", "'out"])],
+        ids=["unknown-key", "unknown-section", "unknown-key-also-in-default", "repeated-section",
+             "unparsable"],
+    )
+    def test_unknown_config_entry_rejected(self, workspace, capsys, extra, named):
+        cfg = self._eval_config(workspace, extra)
+        for argv in (["eval", "--config", str(cfg)],
+                     ["pipeline", "--config", str(cfg), "--stage", "eval"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert all(name in err for name in named), err
+        with pytest.raises(ConfigError) as info:
+            run_pipeline(cfg, "eval")
+        assert all(name in str(info.value) for name in named)
+        assert not list(workspace.glob("report.json*"))
+
+    def test_default_section_applies_where_known(self, workspace, capsys):
+        cfg = self._eval_config(workspace, "")
+        cfg.write_text("[DEFAULT]\nseed = 7\n" + cfg.read_text())  # eval has no --seed
+        run_ok(["eval", "--config", str(cfg)])
+        assert "ndcg@10" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "stage, lines, name",
+        [("search", "index = i\nqueries = q\nk = ten\n", "--k"),
+         ("index", "store = s\nout = o\nk-centroids = abc\n", "--k-centroids"),
+         ("index", "store = s\nout = o\nk-centroids = 0\n", "--k-centroids"),
+         ("bm25-build", "corpus = c\nout = o\nno-lowercase = maybe\n", "--no-lowercase")],
+        ids=["int", "centroids-word", "centroids-zero", "flag"],
+    )
+    def test_mistyped_config_value_names_option(self, workspace, capsys, stage, lines, name):
+        cfg = workspace / "typed.cfg"
+        cfg.write_text(f"[{stage}]\n{lines}")
+        assert main(["pipeline", "--config", str(cfg), "--stage", stage]) == 2
+        assert f"'{name}'" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=name):
+            run_pipeline(cfg, stage)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-4", "2.5"])
+    def test_k_centroids_flag_checked_by_name(self, workspace, capsys, value):
+        argv = ["index", "--store", str(workspace / "s"), "--out", str(workspace / "o"),
+                "--mode", "compressed", "--k-centroids", value]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "argument --k-centroids" in capsys.readouterr().err
+
 
 class TestCliContract:
     def test_help_for_every_subcommand(self, capsys):
@@ -561,4 +624,4 @@ class TestCliContract:
         assert info.value.code == 0
         out = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal width
         assert "lateir" in out
-        assert "index=3" in out and "bm25=" not in out and "array container" in out
+        assert "index=4" in out and "bm25=" not in out and "array container" in out

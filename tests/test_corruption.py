@@ -17,7 +17,7 @@ from lateir.exact import build_exact, load_exact, save_exact
 from lateir.mining import TeacherScoreTable, read_negatives_jsonl, read_nway_jsonl
 from lateir.ranking import read_trec_run
 from lateir.store import CorpusRecord, load_store, pack_strings, read_corpus_jsonl, read_rows
-from lateir.store import save_store, write_arrays
+from lateir.store import INDEX_FORMAT_VERSION, save_store, write_arrays
 
 from conftest import random_store, read_container
 
@@ -29,8 +29,9 @@ FILES = [
     ("compressed", "codebook.bin"),
     ("compressed", "residuals.bin"),
     ("bm25", "postings.bin"),
-    ("bm25", "doclens.bin"),
+    ("store", "embeddings.bin"),
 ]
+CONTAINERS = [(kind, name) for kind, name in FILES if kind != "store"]  # .npy records
 SHAPE_KEY = b"'shape': ("
 
 
@@ -82,7 +83,7 @@ def test_truncated_file(indexes, tmp_path, kind, name):
             LOADERS[kind](work)
 
 
-@pytest.mark.parametrize("kind, name", FILES)
+@pytest.mark.parametrize("kind, name", CONTAINERS)
 def test_inflated_shape(indexes, tmp_path, kind, name):
     data = (indexes / kind / name).read_bytes()
     records = data.count(SHAPE_KEY)
@@ -120,9 +121,16 @@ META = {
                              "token_count"],
     ("compressed", "meta.json"): ["dim", "doc_count", "format_version", "k_centroids", "mode",
                                   "seed", "token_count"],
-    ("bm25", "meta.json"): ["avgdl", "b", "doc_count", "format_version", "k1", "lowercase", "mode",
-                            "scheme", "term_count"],
+    ("bm25", "meta.json"): ["b", "doc_count", "format_version", "k1", "lowercase", "mode", "scheme",
+                            "term_count"],
 }
+
+
+def test_suite_names_every_saved_file(indexes):
+    """FILES and META name exactly the files of each saved store and index directory."""
+    for kind in LOADERS:
+        named = {name for k, name in [*FILES, *META] if k == kind}
+        assert named == {p.name for p in (indexes / kind).iterdir()}, kind
 
 
 def _reader_argv(indexes, tmp_path, kind, work):
@@ -179,19 +187,6 @@ def test_mistyped_metadata(indexes, tmp_path, kind, name, key, value):
             LOADERS[kind](work)
 
 
-@pytest.mark.parametrize("avgdl", [0.0, 1e9, "shifted"])
-def test_bm25_avgdl_must_match_doc_lengths(indexes, tmp_path, avgdl, capsys):
-    meta = json.loads((indexes / "bm25" / "meta.json").read_bytes())
-    if avgdl == "shifted":
-        avgdl = float(np.nextafter(meta["avgdl"], np.inf))
-    variant = json.dumps({**meta, "avgdl": avgdl}).encode("utf-8")
-    for work in _damaged_copies(indexes, tmp_path, "bm25", "meta.json", [variant]):
-        with pytest.raises(FormatError, match="avgdl"):
-            load_bm25(work)
-        assert main(_reader_argv(indexes, tmp_path, "bm25", work)) == 2
-        assert "avgdl" in capsys.readouterr().err
-
-
 # --- meta.json names each index's mode and format version -------------------
 
 INDEX_KINDS = ("exact", "compressed", "bm25")
@@ -210,7 +205,7 @@ def test_loader_rejects_other_index_kind(indexes, kind, other):
 @pytest.mark.parametrize("kind", ["compressed", "bm25"])
 def test_old_format_version_asks_for_rebuild(indexes, tmp_path, kind):
     meta = json.loads((indexes / kind / "meta.json").read_bytes())
-    variant = json.dumps({**meta, "format_version": 2}).encode("utf-8")
+    variant = json.dumps({**meta, "format_version": INDEX_FORMAT_VERSION - 1}).encode("utf-8")
     for work in _damaged_copies(indexes, tmp_path, kind, "meta.json", [variant]):
         with pytest.raises(FormatError, match="rebuild the index"):
             LOADERS[kind](work)
@@ -230,7 +225,7 @@ def test_exact_index_before_format_3_asks_for_rebuild(indexes, tmp_path, capsys)
 STRING_RECORDS = {
     "exact-ids": ("exact", "tokens.bin", 0),
     "compressed-ids": ("compressed", "residuals.bin", 2),
-    "bm25-ids": ("bm25", "doclens.bin", 0),
+    "bm25-ids": ("bm25", "postings.bin", 5),
     "bm25-terms": ("bm25", "postings.bin", 0),
 }
 
