@@ -37,11 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadCentroidId, DimMismatch, InsufficientTokens
+from .errors import BadCentroidId, DimMismatch, EmptyStore, InsufficientTokens
 from .ranking import RankedList, ranked_from_scores
 from .scoring import check_query, maxsim_per_doc
 from .store import INDEX_FORMAT_VERSION, EmbeddingStore, TokenTable, check_format, read_arrays
-from .store import read_index_meta, read_table, save_index, stack_store
+from .store import read_index_meta, read_table, save_index
 
 CODEBOOK_MAGIC = b"LICB"
 RESIDUAL_MAGIC = b"LIRC"
@@ -133,7 +133,9 @@ def train_codebook(
     """Spherical k-means over every token in the store; deterministic given seed."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    tokens, _ = stack_store(store, np.float32)
+    if not len(store):
+        raise EmptyStore("cannot index an empty store")
+    tokens = store.tokens.astype(np.float32, copy=False)
     total = tokens.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -194,7 +196,9 @@ def unpack_codes(packed: np.ndarray, dim: int) -> np.ndarray:
 
 def compress(store: EmbeddingStore, codebook: Codebook) -> CompressedIndex:
     """Quantize every token of the store against the codebook."""
-    tokens, table = stack_store(store, np.float32)
+    if not len(store):
+        raise EmptyStore("cannot index an empty store")
+    tokens = store.tokens.astype(np.float32, copy=False)
     if tokens.shape[1] != codebook.dim:
         raise DimMismatch(
             f"store dim {tokens.shape[1]} != codebook dim {codebook.dim}"
@@ -215,10 +219,10 @@ def compress(store: EmbeddingStore, codebook: Codebook) -> CompressedIndex:
     codes = _quantize(residuals, cutoffs)
     packed = pack_codes(codes)
     centroid_ids = assign.astype(np.uint32)
-    ivf_offsets, ivf_docs = _inverted_lists(centroid_ids, table.token_docs(), codebook.k)
+    ivf_offsets, ivf_docs = _inverted_lists(centroid_ids, store.token_docs(), codebook.k)
 
     return CompressedIndex(
-        **vars(table),
+        store.doc_ids, store.offsets,
         codebook=codebook,
         codec=codec,
         centroid_ids=centroid_ids,

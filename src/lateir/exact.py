@@ -17,10 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import EmptyStore
 from .ranking import RankedList, ranked_from_scores
 from .scoring import check_query, maxsim_per_doc
 from .store import PRECISION_DTYPES, EmbeddingStore, TokenTable, check_format, read_index_meta
-from .store import read_table, save_index, stack_store
+from .store import read_table, save_index
 
 EXACT_MAGIC = b"LIEX"
 
@@ -40,8 +41,10 @@ class ExactIndex(TokenTable):
 
 def build_exact(store: EmbeddingStore, precision: str = "float16") -> ExactIndex:
     """Build a flat index covering every document once, cast to `precision`."""
-    tokens, table = stack_store(store, PRECISION_DTYPES[precision])
-    return ExactIndex(**vars(table), dim=store.dim, precision=precision, tokens=tokens)
+    if not len(store):
+        raise EmptyStore("cannot index an empty store")
+    tokens = store.tokens.astype(PRECISION_DTYPES[precision], copy=False)
+    return ExactIndex(store.doc_ids, store.offsets, store.dim, precision, tokens)
 
 
 def search_exact(

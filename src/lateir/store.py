@@ -44,14 +44,16 @@ import re
 import struct
 import tokenize
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DuplicateDocId, EmptyStore, FormatError, LengthError, ParseError, ZeroVectorRow
+from .errors import DuplicateDocId, FormatError, LengthError, ParseError, ZeroVectorRow
 
 EMBEDDING_MAGIC = b"LIEM"
 EMBEDDING_FORMAT_VERSION = 1
@@ -61,6 +63,7 @@ _ARRAYS_HEADER = struct.Struct("<4sII")
 
 MAX_DOC_TOKENS = 512
 MAX_QUERY_TOKENS = 64
+_ROW_BLOCK = 8192  # rows ingest normalizes at a time: bounds its float64 temporaries
 
 PRECISION_DTYPES = {"float32": np.dtype("<f4"), "float16": np.dtype("<f2")}
 _PRECISION_CODES = {"float32": 0, "float16": 1}
@@ -88,30 +91,6 @@ class StoreManifest:
     entry_count: int
 
 
-@dataclass
-class EmbeddingStore:
-    """Immutable-after-ingestion collection of per-document token matrices."""
-
-    dim: int
-    precision: str
-    kind: str
-    entries: dict[str, np.ndarray]
-    manifest: StoreManifest = field(
-        default_factory=lambda: StoreManifest("", "", 0)
-    )
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def doc_ids(self) -> list[str]:
-        return list(self.entries)
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(m.shape[0] for m in self.entries.values())
-
-
 def normalize_matrix(m: np.ndarray) -> np.ndarray:
     """Unit-normalize every row of a token matrix.
 
@@ -126,18 +105,6 @@ def normalize_matrix(m: np.ndarray) -> np.ndarray:
     if bad.size:
         raise ZeroVectorRow(int(bad[0]))
     return v / norms[:, None]
-
-
-def _normalize_to_precision(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    # Iterate normalize-then-cast to a fixpoint so serializing a store and
-    # re-ingesting it reproduces the exact same stored bits.
-    cur = np.asarray(values)
-    for _ in range(6):
-        nxt = normalize_matrix(cur).astype(dtype)
-        if cur.dtype == nxt.dtype and np.array_equal(cur, nxt):
-            return nxt
-        cur = nxt
-    return cur
 
 
 def write_embedding_file(
@@ -216,7 +183,7 @@ def read_embedding_file(path: str | Path) -> tuple[int, str, list[tuple[str, np.
         if doc_id in seen:
             raise FormatError(f"{path}: duplicate id {doc_id!r}")
         seen.add(doc_id)
-        entries.append((doc_id, matrix.reshape(rows, dim).copy()))
+        entries.append((doc_id, matrix.reshape(rows, dim)))
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing bytes")
     return dim, precision, entries
@@ -475,17 +442,40 @@ def read_table(path: str | Path, magic: bytes, records: list, meta: Mapping) -> 
     return [*arrays[:at], TokenTable(doc_ids, offsets), *arrays[at + 3 :]]
 
 
-def stack_store(store: EmbeddingStore, dtype) -> tuple[np.ndarray, TokenTable]:
-    """(all token rows cast to dtype, their TokenTable) in ingestion order;
-    EmptyStore for a store without documents, FormatError for a document without rows."""
-    if len(store) == 0:
-        raise EmptyStore("cannot index an empty store")
-    matrices = list(store.entries.values())
-    offsets = np.cumsum([0] + [m.shape[0] for m in matrices], dtype=np.int64)
-    empty = np.flatnonzero(offsets[1:] == offsets[:-1])
-    if empty.size:
-        raise FormatError(f"document {store.doc_ids[empty[0]]!r} has zero tokens")
-    return np.vstack(matrices, dtype=dtype), TokenTable(store.doc_ids, offsets)
+@dataclass(init=False)
+class EmbeddingStore(TokenTable):
+    """A collection's token rows as one matrix in the store's precision, indexed by
+    its TokenTable in ingestion order; immutable after ingestion."""
+
+    dim: int
+    precision: str
+    kind: str
+    tokens: np.ndarray  # (total_tokens, dim) in the store's precision
+    manifest: StoreManifest
+
+    def __init__(self, dim: int, precision: str, kind: str, entries: Mapping[str, np.ndarray],
+                 manifest: StoreManifest | None = None):
+        """Stack entries (id -> matrix) in precision; FormatError unless each is (rows >= 1, dim)."""
+        for doc_id, matrix in entries.items():
+            if matrix.ndim != 2 or matrix.shape[1] != dim:
+                raise FormatError(f"entry {doc_id!r} has shape {matrix.shape}, expected (*, {dim})")
+            if not len(matrix):
+                raise FormatError(f"document {doc_id!r} has zero tokens")
+        matrices, dtype = list(entries.values()), PRECISION_DTYPES[precision]
+        super().__init__(list(entries), np.cumsum([0] + [len(m) for m in matrices], dtype=np.int64))
+        self.dim, self.precision, self.kind = dim, precision, kind
+        self.tokens = np.concatenate([np.empty((0, dim), dtype), *matrices], dtype=dtype)
+        self.manifest = manifest or StoreManifest("", "", 0)
+
+    def __len__(self) -> int:
+        return self.n_docs
+
+    @cached_property
+    def entries(self) -> Mapping[str, np.ndarray]:
+        """Read-only id -> that document's rows of tokens (a view)."""
+        bounds = self.offsets.tolist()
+        rows = (self.tokens[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+        return MappingProxyType(dict(zip(self.doc_ids, rows)))
 
 
 def _created_stamp(path: str | Path) -> str:
@@ -503,33 +493,37 @@ def ingest_embeddings(path: str | Path, kind: str) -> EmbeddingStore:
     """
     limit = token_limit(kind)
     dim, precision, raw = read_embedding_file(path)
-    dtype = PRECISION_DTYPES[precision]
-    entries: dict[str, np.ndarray] = {}
-    for doc_id, matrix in raw:
-        if matrix.shape[0] > limit:
-            raise LengthError(doc_id, matrix.shape[0], limit)
-        entries[doc_id] = _normalize_to_precision(matrix, dtype)
-    manifest = StoreManifest(
-        corpus=Path(path).stem, created=_created_stamp(path), entry_count=len(entries)
-    )
-    return EmbeddingStore(dim=dim, precision=precision, kind=kind, entries=entries, manifest=manifest)
+    manifest = StoreManifest(Path(path).stem, _created_stamp(path), len(raw))
+    store = EmbeddingStore(dim, precision, kind, dict(raw), manifest)
+    too_long = np.flatnonzero(store.token_counts() > limit)
+    end = int(store.offsets[too_long[0]]) if too_long.size else store.total_tokens
+    for start in range(0, end, _ROW_BLOCK):
+        # normalize-then-cast each row until it maps to itself (at most 6 rounds),
+        # so that re-ingesting a saved store reproduces its bits
+        block = store.tokens[start : min(start + _ROW_BLOCK, end)]
+        rows, cur = np.arange(len(block)), block
+        for _ in range(6):
+            try:
+                nxt = normalize_matrix(cur).astype(block.dtype)
+            except ZeroVectorRow as exc:  # first round: cur is the whole block
+                doc = int(np.searchsorted(store.offsets, start + exc.row_index, "right")) - 1
+                raise ZeroVectorRow(start + exc.row_index - int(store.offsets[doc])) from None
+            moved = (nxt != cur).any(axis=1)  # before the write: in round 1, cur is block
+            block[rows] = nxt
+            rows, cur = rows[moved], nxt[moved]
+            if not rows.size:
+                break
+    if too_long.size:
+        doc = int(too_long[0])
+        raise LengthError(store.doc_ids[doc], int(store.token_counts()[doc]), limit)
+    return store
 
 
 def cast_precision(store: EmbeddingStore, target: str) -> EmbeddingStore:
     """Return a copy of the store with values round-to-nearest in target precision."""
     if target not in PRECISION_DTYPES:
         raise ValueError(f"unknown precision {target!r}")
-    dtype = PRECISION_DTYPES[target]
-    entries = {doc_id: m.astype(dtype) for doc_id, m in store.entries.items()}
-    return EmbeddingStore(
-        dim=store.dim,
-        precision=target,
-        kind=store.kind,
-        entries=entries,
-        manifest=StoreManifest(
-            store.manifest.corpus, store.manifest.created, store.manifest.entry_count
-        ),
-    )
+    return EmbeddingStore(store.dim, target, store.kind, store.entries, replace(store.manifest))
 
 
 def save_store(store: EmbeddingStore, directory: str | Path) -> None:
@@ -542,7 +536,7 @@ def save_store(store: EmbeddingStore, directory: str | Path) -> None:
     manifest = {
         "corpus": store.manifest.corpus,
         "created": store.manifest.created,
-        "entry_count": len(store.entries),
+        "entry_count": len(store),
         "dim": store.dim,
         "precision": store.precision,
         "kind": store.kind,
@@ -559,13 +553,10 @@ def load_store(directory: str | Path) -> EmbeddingStore:
     dim, precision, raw = read_embedding_file(directory / "embeddings.bin")
     if dim != meta["dim"] or precision != meta["precision"]:
         raise FormatError(f"{directory}: manifest disagrees with embeddings.bin")
-    entries = dict(raw)
-    if len(entries) != meta["entry_count"]:
+    if len(raw) != meta["entry_count"]:
         raise FormatError(f"{directory}: manifest entry_count disagrees with data")
     manifest = StoreManifest(meta["corpus"], meta["created"], meta["entry_count"])
-    return EmbeddingStore(
-        dim=dim, precision=precision, kind=meta["kind"], entries=entries, manifest=manifest
-    )
+    return EmbeddingStore(dim, precision, meta["kind"], dict(raw), manifest)
 
 
 def read_corpus_jsonl(path: str | Path) -> list[CorpusRecord]:

@@ -70,7 +70,8 @@ def random_store(
 
 
 def store_with_empty_doc(rng: np.random.Generator, dim: int = 8) -> EmbeddingStore:
-    """An in-memory store whose documents have 3, 2 and 0 rows, the empty one last."""
+    """A store of documents with 3, 2 and 0 rows, the empty one last: its constructor
+    raises FormatError."""
     entries = {"a": unit_rows(rng, 3, dim), "b": unit_rows(rng, 2, dim), "c": np.zeros((0, dim))}
     return EmbeddingStore(dim=dim, precision="float32", kind="document",
                           entries={k: m.astype(np.float32) for k, m in entries.items()},

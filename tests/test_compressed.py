@@ -112,12 +112,9 @@ class TestTrainCodebook:
             compress(empty, codebook)
 
     def test_zero_row_document_rejected(self, rng):
-        store = store_with_empty_doc(rng)
+        # the store's constructor rejects the document, so no builder ever sees it
         with pytest.raises(FormatError, match="'c' has zero tokens"):
-            train_codebook(store, k=2)
-        codebook = train_codebook(random_store(rng, 4, 8), k=2, iterations=1)
-        with pytest.raises(FormatError, match="'c' has zero tokens"):
-            compress(store, codebook)
+            train_codebook(store_with_empty_doc(rng), k=2)
 
     def test_centroids_unit(self, rng):
         store = random_store(rng, 50, 16, min_tokens=2, max_tokens=8)

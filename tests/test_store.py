@@ -33,7 +33,6 @@ from lateir.store import (
     read_jsonl,
     read_rows,
     save_store,
-    stack_store,
     unpack_strings,
     write_arrays,
     write_embedding_file,
@@ -41,6 +40,7 @@ from lateir.store import (
     write_jsonl,
     write_rows,
 )
+from lateir.exact import build_exact
 from lateir.ranking import RankedList, write_trec_run
 
 from conftest import random_store, store_with_empty_doc, unit_rows
@@ -243,17 +243,26 @@ class TestIngest:
         for doc_id in store.entries:
             np.testing.assert_array_equal(store.entries[doc_id], back.entries[doc_id])
 
-    def test_failed_save_keeps_previous_store(self, tmp_path, rng):
+    def test_failed_save_keeps_previous_store(self, tmp_path, rng, monkeypatch):
         store = random_store(rng, 3, 8)
         save_store(store, tmp_path / "store")
-        bad = random_store(rng, 3, 8)
-        bad.entries["d1"] = unit_rows(rng, 2, 4).astype(np.float32)  # the second entry: dim 4
-        with pytest.raises(FormatError):
-            save_store(bad, tmp_path / "store")
+        real = np.ascontiguousarray
+        written = []
+
+        def fail_on_second_entry(matrix, dtype=None):
+            written.append(matrix)
+            if len(written) == 2:
+                raise OSError("disk full")
+            return real(matrix, dtype=dtype)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lateir.store.np, "ascontiguousarray", fail_on_second_entry)
+            with pytest.raises(OSError):
+                save_store(random_store(rng, 3, 8), tmp_path / "store")
+        assert len(written) == 2  # the first entry was written before the second failed
         back = load_store(tmp_path / "store")
         assert back.doc_ids == store.doc_ids
-        for doc_id in store.entries:
-            np.testing.assert_array_equal(store.entries[doc_id], back.entries[doc_id])
+        np.testing.assert_array_equal(back.tokens, store.tokens)
         assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [
             "embeddings.bin", "manifest.json"
         ]
@@ -464,22 +473,43 @@ class TestMetadataJson:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
-class TestStackStore:
+class TestEmbeddingStore:
     def test_layout(self, rng):
-        store = store_with_empty_doc(rng)
-        del store.entries["c"]
-        tokens, table = stack_store(store, np.float16)
-        assert tokens.dtype == np.float16 and tokens.shape == (5, 8)
-        assert table.offsets.tolist() == [0, 3, 5] and table.doc_ids == ["a", "b"]
+        a, b = unit_rows(rng, 3, 8), unit_rows(rng, 2, 8)
+        store = EmbeddingStore(dim=8, precision="float16", kind="document", entries={"a": a, "b": b})
+        assert store.tokens.dtype == np.float16 and store.tokens.shape == (5, 8)
+        assert store.offsets.tolist() == [0, 3, 5] and store.doc_ids == ["a", "b"]
+        assert (len(store), store.n_docs, store.total_tokens) == (2, 2, 5)
+        np.testing.assert_array_equal(store.tokens, np.vstack([a, b]).astype(np.float16))
+        assert list(store.entries) == ["a", "b"]
+        for doc_id, (lo, hi) in {"a": (0, 3), "b": (3, 5)}.items():
+            assert store.entries[doc_id].base is store.tokens  # a view, not a copy
+            np.testing.assert_array_equal(store.entries[doc_id], store.tokens[lo:hi])
+
+    def test_entries_read_only(self, rng):
+        store = random_store(rng, 3, 8)
+        with pytest.raises(TypeError):
+            store.entries["d1"] = unit_rows(rng, 2, 8)
+        with pytest.raises(TypeError):
+            del store.entries["d1"]
+        assert list(store.entries) == store.doc_ids == ["d0", "d1", "d2"]
 
     def test_empty_store(self):
+        empty = EmbeddingStore(dim=8, precision="float32", kind="document", entries={})
+        assert empty.tokens.shape == (0, 8) and empty.offsets.tolist() == [0]
+        assert (len(empty), empty.total_tokens, dict(empty.entries)) == (0, 0, {})
         with pytest.raises(EmptyStore):
-            empty = EmbeddingStore(dim=8, precision="float32", kind="document", entries={})
-            stack_store(empty, np.float32)
+            build_exact(empty)
 
     def test_zero_row_document(self, rng):
         with pytest.raises(FormatError, match="'c' has zero tokens"):
-            stack_store(store_with_empty_doc(rng), np.float32)
+            store_with_empty_doc(rng)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (8,), (2, 8, 1)])
+    def test_wrong_shape_rejected(self, rng, shape):
+        entries = {"a": unit_rows(rng, 3, 8), "b": np.ones(shape)}
+        with pytest.raises(FormatError, match="'b' has shape"):
+            EmbeddingStore(dim=8, precision="float32", kind="document", entries=entries)
 
 
 class TestTokenTable:
