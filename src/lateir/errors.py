@@ -14,9 +14,11 @@ class EngineError(Exception):
 class ZeroVectorRow(EngineError):
     """A token row had (numerically) zero norm and cannot be normalized."""
 
-    def __init__(self, row_index: int):
-        super().__init__(f"row {row_index} has zero norm")
+    def __init__(self, row_index: int, doc_id: str | None = None):
+        where = f"row {row_index}" if doc_id is None else f"entry {doc_id!r} row {row_index}"
+        super().__init__(f"{where} has zero norm")
         self.row_index = row_index
+        self.doc_id = doc_id
 
 
 class FormatError(EngineError):

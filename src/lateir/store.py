@@ -13,10 +13,14 @@ Embedding file format (little-endian throughout)::
 A persisted store is a directory holding ``embeddings.bin`` in that format
 plus ``manifest.json``.
 
-The exact and compressed indexes are TokenTables: doc ids plus int64 token
-offsets, document i owning token rows offsets[i]:offsets[i + 1].  The table
-is three container records (``table_arrays``), read and checked against
-``meta.json`` by ``read_table``.
+Stores and the exact and compressed indexes are TokenTables: doc ids plus
+int64 token offsets, document i owning token rows offsets[i]:offsets[i + 1]
+of one token matrix.  An index saves its table as three container records
+(``table_arrays``), read and checked against ``meta.json`` by ``read_table``.
+In memory, a store is that matrix in the store's precision, its table, and a
+read-only ``entries`` view (id -> rows); ingestion normalizes the matrix in
+blocks of ``_ROW_BLOCK`` rows and rejects zero-norm rows and NaN or infinite
+values.
 
 An index directory holds array containers plus ``meta.json``, which records
 its ``mode`` and ``format_version`` (``save_index`` / ``read_index_meta``);
@@ -485,11 +489,22 @@ def _created_stamp(path: str | Path) -> str:
     return datetime.fromtimestamp(mtime, tz=timezone.utc).isoformat(timespec="seconds")
 
 
+def _check_lengths(store: EmbeddingStore) -> None:
+    """LengthError for the store's first document over its kind's token limit."""
+    counts, limit = store.token_counts(), token_limit(store.kind)
+    too_long = np.flatnonzero(counts > limit)
+    if too_long.size:
+        raise LengthError(store.doc_ids[too_long[0]], int(counts[too_long[0]]), limit)
+
+
 def ingest_embeddings(path: str | Path, kind: str) -> EmbeddingStore:
     """Load an embedding file into a normalized in-memory store.
 
     Every row is unit-normalized (in the file's precision), the per-kind
-    token limit is enforced, and ingestion order is preserved.
+    token limit is enforced, and ingestion order is preserved.  The first
+    document in file order that is too long (LengthError), has a zero-norm
+    row (ZeroVectorRow) or a NaN or infinite value (FormatError) decides the
+    error, which names the entry and, for a row, its index in the entry.
     """
     limit = token_limit(kind)
     dim, precision, raw = read_embedding_file(path)
@@ -498,24 +513,26 @@ def ingest_embeddings(path: str | Path, kind: str) -> EmbeddingStore:
     too_long = np.flatnonzero(store.token_counts() > limit)
     end = int(store.offsets[too_long[0]]) if too_long.size else store.total_tokens
     for start in range(0, end, _ROW_BLOCK):
+        block = store.tokens[start : min(start + _ROW_BLOCK, end)]
+        norms = np.linalg.norm(block.astype(np.float64), axis=1)
+        bad = np.flatnonzero(~(norms >= 1e-12) | np.isinf(norms))  # zero, NaN or infinite
+        if bad.size:
+            doc = int(np.searchsorted(store.offsets, start + bad[0], "right")) - 1
+            doc_id, row = store.doc_ids[doc], int(start + bad[0] - store.offsets[doc])
+            if np.isfinite(norms[bad[0]]):
+                raise ZeroVectorRow(row, doc_id)
+            raise FormatError(f"entry {doc_id!r} row {row} has a non-finite value")
         # normalize-then-cast each row until it maps to itself (at most 6 rounds),
         # so that re-ingesting a saved store reproduces its bits
-        block = store.tokens[start : min(start + _ROW_BLOCK, end)]
         rows, cur = np.arange(len(block)), block
         for _ in range(6):
-            try:
-                nxt = normalize_matrix(cur).astype(block.dtype)
-            except ZeroVectorRow as exc:  # first round: cur is the whole block
-                doc = int(np.searchsorted(store.offsets, start + exc.row_index, "right")) - 1
-                raise ZeroVectorRow(start + exc.row_index - int(store.offsets[doc])) from None
+            nxt = normalize_matrix(cur).astype(block.dtype)
             moved = (nxt != cur).any(axis=1)  # before the write: in round 1, cur is block
             block[rows] = nxt
             rows, cur = rows[moved], nxt[moved]
             if not rows.size:
                 break
-    if too_long.size:
-        doc = int(too_long[0])
-        raise LengthError(store.doc_ids[doc], int(store.token_counts()[doc]), limit)
+    _check_lengths(store)
     return store
 
 
@@ -545,18 +562,23 @@ def save_store(store: EmbeddingStore, directory: str | Path) -> None:
 
 
 def load_store(directory: str | Path) -> EmbeddingStore:
-    """Load a store persisted by save_store. Values are trusted as normalized."""
+    """Load a store persisted by save_store. Values are trusted as normalized; the
+    kind and its token limit are checked."""
     directory = Path(directory)
     keys = {"dim": int, "precision": str, "entry_count": int, "corpus": str, "created": str,
             "kind": str}
     meta = read_json(directory / "manifest.json", keys)
+    kind = meta["kind"]
+    check_format(kind in KINDS, directory / "manifest.json", f"unknown kind {kind!r}")
     dim, precision, raw = read_embedding_file(directory / "embeddings.bin")
     if dim != meta["dim"] or precision != meta["precision"]:
         raise FormatError(f"{directory}: manifest disagrees with embeddings.bin")
     if len(raw) != meta["entry_count"]:
         raise FormatError(f"{directory}: manifest entry_count disagrees with data")
     manifest = StoreManifest(meta["corpus"], meta["created"], meta["entry_count"])
-    return EmbeddingStore(dim, precision, meta["kind"], dict(raw), manifest)
+    store = EmbeddingStore(dim, precision, kind, dict(raw), manifest)
+    _check_lengths(store)
+    return store
 
 
 def read_corpus_jsonl(path: str | Path) -> list[CorpusRecord]:

@@ -79,6 +79,22 @@ class TestIngest:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("value, message", [(np.nan, "non-finite"), (-np.inf, "non-finite"),
+                                                (0.0, "zero norm")])
+    def test_bad_row_rejected_by_name(self, workspace, tmp_path, rng, capsys, value, message):
+        rows = unit_rows(rng, 4, 16)
+        rows[2] = value
+        bad = tmp_path / "bad.bin"
+        write_embedding_file(bad, 16, "float16", [("d00", unit_rows(rng, 3, 16)), ("d01", rows)])
+        code = main([
+            "ingest", "--corpus", str(workspace / "corpus.jsonl"),
+            "--embeddings", str(bad), "--out", str(tmp_path / "s"), "--kind", "doc",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "entry 'd01' row 2" in err and message in err
+        assert not (tmp_path / "s").exists()
+
     def test_missing_required_option(self, workspace, capsys):
         code = main(["ingest", "--corpus", str(workspace / "corpus.jsonl")])
         assert code == 2

@@ -19,6 +19,7 @@ from lateir.errors import (
 )
 from lateir.store import (
     EMBEDDING_MAGIC,
+    PRECISION_DTYPES,
     EmbeddingStore,
     TokenTable,
     cast_precision,
@@ -266,6 +267,113 @@ class TestIngest:
         assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [
             "embeddings.bin", "manifest.json"
         ]
+
+
+    @staticmethod
+    def _file_with(path, rng, defects, precision="float32"):
+        """Documents a, b, c of 3 rows (dim 8); a defect puts nan, inf or a zero row at
+        row 1 of its document, or gives it 65 rows ("long")."""
+        entries = []
+        for doc_id in "abc":
+            defect = defects.get(doc_id)
+            m = unit_rows(rng, 65 if defect == "long" else 3, 8)
+            if defect in ("nan", "inf", "-inf"):
+                m[1, 2] = float(defect)
+            elif defect == "zero":
+                m[1] = 0.0
+            entries.append((doc_id, m))
+        write_embedding_file(path, 8, precision, entries)
+
+    @pytest.mark.parametrize("precision", ["float32", "float16"])
+    @pytest.mark.parametrize(
+        "defects, error, doc_id",
+        [
+            ({"b": "nan"}, FormatError, "b"),
+            ({"b": "inf"}, FormatError, "b"),
+            ({"c": "-inf"}, FormatError, "c"),
+            ({"b": "zero"}, ZeroVectorRow, "b"),
+            ({"b": "long"}, LengthError, "b"),
+            # the first failing document in file order decides
+            ({"a": "long", "b": "nan"}, LengthError, "a"),
+            ({"a": "nan", "b": "long"}, FormatError, "a"),
+            ({"a": "zero", "b": "nan"}, ZeroVectorRow, "a"),
+            ({"a": "nan", "c": "zero"}, FormatError, "a"),
+            ({"b": "zero", "c": "long"}, ZeroVectorRow, "b"),
+        ],
+        ids=["nan", "inf", "-inf", "zero", "long", "long-nan", "nan-long", "zero-nan", "nan-zero",
+             "zero-long"],
+    )
+    def test_first_bad_document_named(self, tmp_path, rng, precision, defects, error, doc_id):
+        path = tmp_path / "e.bin"
+        self._file_with(path, rng, defects, precision)
+        with pytest.raises(error) as info:
+            ingest_embeddings(path, "query")
+        assert f"entry {doc_id!r}" in str(info.value)
+        if error is FormatError:
+            assert "row 1 " in str(info.value) and "non-finite" in str(info.value)
+        else:
+            assert info.value.doc_id == doc_id
+        if error is ZeroVectorRow:
+            assert info.value.row_index == 1
+
+    def test_load_checks_kind_and_length(self, tmp_path, rng):
+        save_store(random_store(rng, 2, 8, min_tokens=65, max_tokens=70), tmp_path / "s")
+        assert len(load_store(tmp_path / "s")) == 2  # documents may have 65 rows
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        for kind, error in [("banana", FormatError), ("query", LengthError)]:
+            write_json(tmp_path / "s" / "manifest.json", {**manifest, "kind": kind})
+            with pytest.raises(error) as info:
+                load_store(tmp_path / "s")
+            assert (kind in str(info.value)) if kind == "banana" else info.value.doc_id == "d0"
+
+
+class TestBlockIngest:
+    """Ingest normalizes the token matrix in blocks of lateir.store._ROW_BLOCK rows."""
+
+    @staticmethod
+    def per_document(raw, dtype):
+        """The reference: normalize and cast each document until it maps to itself, at
+        most 6 times; returns the rows and how many rounds each document took."""
+        out, rounds = {}, {}
+        for doc_id, cur in raw:
+            for n in range(1, 7):
+                nxt = normalize_matrix(cur).astype(dtype)
+                done = cur.dtype == nxt.dtype and np.array_equal(cur, nxt)
+                cur = nxt
+                if done:
+                    break
+            out[doc_id], rounds[doc_id] = cur, n
+        return out, rounds
+
+    @pytest.mark.parametrize("precision", ["float32", "float16"])
+    def test_equals_per_document_reference(self, tmp_path, rng, precision):
+        block = lateir.store._ROW_BLOCK
+        lengths = rng.integers(1, 200, size=230)
+        assert lengths.sum() > 2 * block
+        entries = [(f"d{i:03d}", rng.standard_normal((n, 8)) * rng.uniform(1e-3, 1e3))
+                   for i, n in enumerate(lengths)]
+        path = tmp_path / "e.bin"
+        write_embedding_file(path, 8, precision, entries)
+        store = ingest_embeddings(path, "document")
+        dtype = PRECISION_DTYPES[precision]
+        expected, rounds = self.per_document(read_embedding_file(path)[2], dtype)
+        offsets = store.offsets
+        assert any(offsets[i] < block < offsets[i + 1] for i in range(len(lengths)))
+        assert max(rounds.values()) >= 3  # some rows changed again in round 2
+        assert store.tokens.dtype == dtype
+        for doc_id, rows in expected.items():
+            assert store.entries[doc_id].tobytes() == rows.tobytes(), doc_id
+
+    def test_bad_row_in_a_later_block_named(self, tmp_path, rng):
+        block = lateir.store._ROW_BLOCK
+        entries = [(f"d{i}", unit_rows(rng, 100, 4)) for i in range(block // 100 + 5)]
+        doc, row = block // 100 + 1, 37  # global row > block
+        entries[doc][1][row] = 0.0
+        path = tmp_path / "e.bin"
+        write_embedding_file(path, 4, "float16", entries)
+        with pytest.raises(ZeroVectorRow) as info:
+            ingest_embeddings(path, "document")
+        assert (info.value.doc_id, info.value.row_index) == (f"d{doc}", row)
 
 
 class TestCastPrecision:
