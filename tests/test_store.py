@@ -268,7 +268,6 @@ class TestIngest:
             "embeddings.bin", "manifest.json"
         ]
 
-
     @staticmethod
     def _file_with(path, rng, defects, precision="float32"):
         """Documents a, b, c of 3 rows (dim 8); a defect puts nan, inf or a zero row at
