@@ -9,10 +9,8 @@ from .bm25 import BM25Index, Tokenizer, build_bm25, load_bm25, save_bm25, search
 from .compressed import (
     Codebook,
     CompressedIndex,
-    ResidualCode,
     ResidualCodec,
     compress,
-    decompress,
     default_centroid_count,
     load_compressed,
     save_compressed,
@@ -74,7 +72,6 @@ __all__ = [
     "NWayExample",
     "NWayScoreVector",
     "RankedList",
-    "ResidualCode",
     "ResidualCodec",
     "TeacherScoreTable",
     "Tokenizer",
@@ -83,7 +80,6 @@ __all__ = [
     "build_nway",
     "cast_precision",
     "compress",
-    "decompress",
     "default_centroid_count",
     "evaluate",
     "ingest_embeddings",

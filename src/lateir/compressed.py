@@ -11,12 +11,12 @@ midpoint-of-bucket quantile.  Codes pack 4 per byte.
 Search runs in three stages: (1) probe the `nprobe` nearest centroids per
 query token and collect the documents on their inverted lists, (2) cap the
 candidate set by an approximate score computed over centroids only, (3)
-decompress the survivors and rerank by exact maxsim over the reconstructed,
-re-normalized vectors.
+rerank the survivors by exact maxsim over ``CompressedIndex.decode``, the one
+reconstruction: centroid plus each dimension's bucket value, unit-normalized.
 
 The inverted lists hold each document once per centroid it has a token
-on, in ascending order; they are derived from the centroid ids at build and
-load time, not stored.
+on, in ascending order; ``CompressedIndex`` derives them from the centroid
+ids when it is constructed, by ``compress`` or ``load_compressed``.
 
 Index directory layout (array containers, see ``store.write_arrays``)::
 
@@ -32,7 +32,7 @@ Index directory layout (array containers, see ``store.write_arrays``)::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -77,22 +77,28 @@ class ResidualCodec:
 
 
 @dataclass
-class ResidualCode:
-    """One token: nearest centroid plus packed 2-bit residual codes."""
-
-    centroid_id: int
-    packed: bytes  # ceil(dim/4) bytes
-
-
-@dataclass
 class CompressedIndex(TokenTable):
     codebook: Codebook
     codec: ResidualCodec
-    centroid_ids: np.ndarray  # (total_tokens,) uint32
+    centroid_ids: np.ndarray  # (total_tokens,) uint32, each < K
     packed_codes: np.ndarray  # (total_tokens, ceil(dim/4)) uint8
-    ivf_offsets: np.ndarray  # (K + 1,) int64
-    ivf_docs: np.ndarray  # int64 doc indexes grouped by centroid, ascending in each
+    ivf_offsets: np.ndarray = field(init=False)  # (K + 1,) int64
+    ivf_docs: np.ndarray = field(init=False)  # int64 doc indexes by centroid, ascending in each
     params: dict
+
+    def __post_init__(self):
+        self.ivf_offsets, self.ivf_docs = _inverted_lists(
+            self.centroid_ids, self.token_docs(), self.codebook.k
+        )
+
+    def decode(self, rows: np.ndarray) -> np.ndarray:
+        """The given token rows reconstructed as centroid + each dimension's bucket
+        value, unit-normalized (float32)."""
+        dim = self.codebook.dim
+        codes = unpack_codes(self.packed_codes[rows], dim)
+        recon = self.codebook.centroids[self.centroid_ids[rows].astype(np.int64)]
+        recon += self.codec.values[np.arange(dim)[None, :], codes]
+        return _unit_rows_f32(recon)
 
 
 def default_centroid_count(total_tokens: int) -> int:
@@ -218,17 +224,13 @@ def compress(store: EmbeddingStore, codebook: Codebook) -> CompressedIndex:
 
     codes = _quantize(residuals, cutoffs)
     packed = pack_codes(codes)
-    centroid_ids = assign.astype(np.uint32)
-    ivf_offsets, ivf_docs = _inverted_lists(centroid_ids, store.token_docs(), codebook.k)
 
     return CompressedIndex(
         store.doc_ids, store.offsets,
         codebook=codebook,
         codec=codec,
-        centroid_ids=centroid_ids,
+        centroid_ids=assign.astype(np.uint32),
         packed_codes=packed,
-        ivf_offsets=ivf_offsets,
-        ivf_docs=ivf_docs,
         params={
             "k_centroids": codebook.k,
             "dim": codebook.dim,
@@ -248,26 +250,6 @@ def _inverted_lists(centroid_ids: np.ndarray, token_doc: np.ndarray, k: int):
     keep[1:] = (cids[1:] != cids[:-1]) | (docs[1:] != docs[:-1])
     counts = np.bincount(cids[keep], minlength=k)
     return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64), docs[keep]
-
-
-def _reconstruct(
-    centroid_ids: np.ndarray, codes: np.ndarray, codebook: Codebook, codec: ResidualCodec
-) -> np.ndarray:
-    """Centroid + representative residual per dimension, unit-normalized (float32)."""
-    dim = codebook.dim
-    recon = codebook.centroids[centroid_ids] + codec.values[np.arange(dim)[None, :], codes]
-    return _unit_rows_f32(recon)
-
-
-def decompress(code: ResidualCode, codebook: Codebook, codec: ResidualCodec) -> np.ndarray:
-    """Reconstruct a single token vector from its residual code."""
-    if not 0 <= code.centroid_id < codebook.k:
-        raise BadCentroidId(f"centroid id {code.centroid_id} not in [0, {codebook.k})")
-    packed = np.frombuffer(code.packed, dtype=np.uint8)[None, :]
-    codes = unpack_codes(packed, codebook.dim)
-    return _reconstruct(
-        np.array([code.centroid_id]), codes, codebook, codec
-    )[0]
 
 
 def search_compressed(
@@ -306,12 +288,9 @@ def search_compressed(
         keep = np.argsort(-approx, kind="stable")[:candidate_cap]
         candidates = np.sort(candidates[keep])
 
-    # stage 3: decompress candidates and rerank by exact maxsim
+    # stage 3: decode the candidates' tokens and rerank by exact maxsim
     flat, bounds = index.rows_of(candidates)
-    codes = unpack_codes(index.packed_codes[flat], index.codebook.dim)
-    recon = _reconstruct(
-        index.centroid_ids[flat].astype(np.int64), codes, index.codebook, index.codec
-    ).astype(np.float64)
+    recon = index.decode(flat).astype(np.float64)
     scores = maxsim_per_doc(q @ recon.T, bounds)
     ids = [index.doc_ids[c] for c in candidates]
     return ranked_from_scores(query_id, ids, scores, k=k)
@@ -346,7 +325,6 @@ def load_compressed(directory: str | Path) -> CompressedIndex:
     check_format(shapes == want, path, f"shapes {shapes} disagree with meta.json {want}")
     if total and int(centroid_ids.max()) >= k:
         raise BadCentroidId(f"{path}: centroid id {int(centroid_ids.max())} not in [0, {k})")
-    ivf_offsets, ivf_docs = _inverted_lists(centroid_ids, table.token_docs(), k)
 
     return CompressedIndex(
         **vars(table),
@@ -354,7 +332,5 @@ def load_compressed(directory: str | Path) -> CompressedIndex:
         codec=ResidualCodec(cutoffs=cutoffs, values=values),
         centroid_ids=centroid_ids,
         packed_codes=packed,
-        ivf_offsets=ivf_offsets,
-        ivf_docs=ivf_docs,
         params={key: meta[key] for key in meta if key not in ("doc_count", "token_count", "mode")},
     )

@@ -56,11 +56,12 @@ class MetricSpec:
 
     @classmethod
     def parse(cls, text: str) -> "MetricSpec":
-        """Parse 'ndcg@10' style metric names."""
-        name, sep, cutoff = text.partition("@")
-        if not sep:
-            raise ValueError(f"expected metric@k, got {text!r}")
-        return cls(metric=name.strip().lower(), k=int(cutoff))
+        """Parse 'ndcg@10' style metric names; ValueError naming text if it is not one."""
+        name, _, cutoff = text.partition("@")
+        try:
+            return cls(metric=name.strip().lower(), k=int(cutoff))
+        except ValueError as exc:
+            raise ValueError(f"bad metric {text!r}, expected metric@k: {exc}") from exc
 
     def __str__(self) -> str:
         return f"{self.metric}@{self.k}"

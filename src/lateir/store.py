@@ -19,8 +19,8 @@ of one token matrix.  An index saves its table as three container records
 (``table_arrays``), read and checked against ``meta.json`` by ``read_table``.
 In memory, a store is that matrix in the store's precision, its table, and a
 read-only ``entries`` view (id -> rows); ingestion normalizes the matrix in
-blocks of ``_ROW_BLOCK`` rows and rejects zero-norm rows and NaN or infinite
-values.
+blocks of ``_ROW_BLOCK`` rows, and both it and ``load_store`` reject zero-norm
+rows and NaN or infinite values.
 
 An index directory holds array containers plus ``meta.json``, which records
 its ``mode`` and ``format_version`` (``save_index`` / ``read_index_meta``);
@@ -497,6 +497,21 @@ def _check_lengths(store: EmbeddingStore) -> None:
         raise LengthError(store.doc_ids[too_long[0]], int(counts[too_long[0]]), limit)
 
 
+def _checked_rows(store: EmbeddingStore, start: int, stop: int) -> np.ndarray:
+    """store.tokens[start:stop]; ZeroVectorRow for the first zero-norm row in it, FormatError
+    for the first NaN or infinite value, each naming the entry and the row within it."""
+    block = store.tokens[start:stop]
+    norms = np.linalg.norm(block.astype(np.float64), axis=1)
+    bad = np.flatnonzero(~(norms >= 1e-12) | np.isinf(norms))  # zero, NaN or infinite
+    if bad.size:
+        doc = int(np.searchsorted(store.offsets, start + bad[0], "right")) - 1
+        doc_id, row = store.doc_ids[doc], int(start + bad[0] - store.offsets[doc])
+        if np.isfinite(norms[bad[0]]):
+            raise ZeroVectorRow(row, doc_id)
+        raise FormatError(f"entry {doc_id!r} row {row} has a non-finite value")
+    return block
+
+
 def ingest_embeddings(path: str | Path, kind: str) -> EmbeddingStore:
     """Load an embedding file into a normalized in-memory store.
 
@@ -513,15 +528,7 @@ def ingest_embeddings(path: str | Path, kind: str) -> EmbeddingStore:
     too_long = np.flatnonzero(store.token_counts() > limit)
     end = int(store.offsets[too_long[0]]) if too_long.size else store.total_tokens
     for start in range(0, end, _ROW_BLOCK):
-        block = store.tokens[start : min(start + _ROW_BLOCK, end)]
-        norms = np.linalg.norm(block.astype(np.float64), axis=1)
-        bad = np.flatnonzero(~(norms >= 1e-12) | np.isinf(norms))  # zero, NaN or infinite
-        if bad.size:
-            doc = int(np.searchsorted(store.offsets, start + bad[0], "right")) - 1
-            doc_id, row = store.doc_ids[doc], int(start + bad[0] - store.offsets[doc])
-            if np.isfinite(norms[bad[0]]):
-                raise ZeroVectorRow(row, doc_id)
-            raise FormatError(f"entry {doc_id!r} row {row} has a non-finite value")
+        block = _checked_rows(store, start, min(start + _ROW_BLOCK, end))
         # normalize-then-cast each row until it maps to itself (at most 6 rounds),
         # so that re-ingesting a saved store reproduces its bits
         rows, cur = np.arange(len(block)), block
@@ -563,7 +570,7 @@ def save_store(store: EmbeddingStore, directory: str | Path) -> None:
 
 def load_store(directory: str | Path) -> EmbeddingStore:
     """Load a store persisted by save_store. Values are trusted as normalized; the
-    kind and its token limit are checked."""
+    kind, its token limit and that no row is zero, NaN or infinite are checked."""
     directory = Path(directory)
     keys = {"dim": int, "precision": str, "entry_count": int, "corpus": str, "created": str,
             "kind": str}
@@ -578,17 +585,25 @@ def load_store(directory: str | Path) -> EmbeddingStore:
     manifest = StoreManifest(meta["corpus"], meta["created"], meta["entry_count"])
     store = EmbeddingStore(dim, precision, kind, dict(raw), manifest)
     _check_lengths(store)
+    for start in range(0, store.total_tokens, _ROW_BLOCK):
+        _checked_rows(store, start, start + _ROW_BLOCK)
     return store
 
 
 def read_corpus_jsonl(path: str | Path) -> list[CorpusRecord]:
-    """Read a JSONL corpus; ids must be non-empty, unique and hold no whitespace."""
+    """Read a JSONL corpus; texts must be strings, ids strings or integers (read as
+    their digits) that are non-empty, unique and hold no whitespace."""
     records: list[CorpusRecord] = []
     seen: set[str] = set()
     for lineno, obj in read_jsonl(path):
         if "id" not in obj or "text" not in obj:
             raise ParseError("expected object with 'id' and 'text'", lineno)
-        doc_id = str(obj["id"])
+        doc_id, text = obj["id"], obj["text"]
+        if not isinstance(text, str):
+            raise ParseError("'text' is not a JSON string", lineno)
+        if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+            raise ParseError("'id' is neither a JSON string nor an integer", lineno)
+        doc_id = str(doc_id)
         if not doc_id:
             raise ParseError("empty id", lineno)
         if doc_id.split() != [doc_id]:
@@ -596,5 +611,5 @@ def read_corpus_jsonl(path: str | Path) -> list[CorpusRecord]:
         if doc_id in seen:
             raise DuplicateDocId(f"duplicate id {doc_id!r} at line {lineno}")
         seen.add(doc_id)
-        records.append(CorpusRecord(id=doc_id, text=str(obj["text"])))
+        records.append(CorpusRecord(id=doc_id, text=text))
     return records

@@ -6,10 +6,11 @@ import shutil
 import numpy as np
 import pytest
 
+import lateir
 from lateir.cli import COMMANDS, main, run_pipeline
 from lateir.errors import ConfigError
 from lateir.ranking import read_trec_run
-from lateir.store import write_embedding_file
+from lateir.store import read_embedding_file, write_embedding_file
 
 from conftest import perturb_rows, unit_rows
 
@@ -94,6 +95,41 @@ class TestIngest:
         assert code == 2
         assert "entry 'd01' row 2" in err and message in err
         assert not (tmp_path / "s").exists()
+
+    def test_damaged_store_rejected_by_index(self, workspace, capsys):
+        _ingest_both(workspace)
+        path = workspace / "docstore" / "embeddings.bin"
+        dim, precision, entries = read_embedding_file(path)
+        rows = entries[3][1].copy()
+        rows[2, 0] = np.nan
+        entries[3] = (entries[3][0], rows)
+        write_embedding_file(path, dim, precision, entries)
+        code = main(["index", "--store", str(workspace / "docstore"),
+                     "--out", str(workspace / "idx")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "entry 'd03' row 2 has a non-finite value" in err
+        assert not (workspace / "idx").exists()
+
+    @pytest.mark.parametrize("line", ['{"id": null, "text": "x"}', '{"id": "q9", "text": null}'])
+    def test_mistyped_corpus_line_rejected(self, workspace, capsys, line):
+        queries = workspace / "bad.jsonl"
+        good = (workspace / "queries.jsonl").read_text(encoding="utf-8")
+        queries.write_text(good + line + "\n", encoding="utf-8")
+        bm25 = workspace / "bm25-idx"
+        run_ok(["bm25", "build", "--corpus", str(workspace / "corpus.jsonl"), "--out", str(bm25)])
+        capsys.readouterr()
+        for argv in (
+            ["ingest", "--corpus", str(queries), "--embeddings", str(workspace / "queries.bin"),
+             "--out", str(workspace / "qstore2"), "--kind", "query"],
+            ["bm25", "build", "--corpus", str(queries), "--out", str(workspace / "bm25-q")],
+            ["bm25", "search", "--index", str(bm25), "--queries", str(queries),
+             "--out", str(workspace / "bm25.trec")],
+            ["mine", "bm25", "--index", str(bm25), "--queries", str(queries),
+             "--positives", str(workspace / "qrels.txt"), "--out", str(workspace / "negs.jsonl")],
+        ):
+            assert main(argv) == 2, argv
+            assert "line 7" in capsys.readouterr().err, argv
 
     def test_missing_required_option(self, workspace, capsys):
         code = main(["ingest", "--corpus", str(workspace / "corpus.jsonl")])
@@ -633,6 +669,17 @@ class TestCliContract:
         with pytest.raises(SystemExit) as info:
             main(["ingest", "--bogus", "x"])
         assert info.value.code == 2
+
+    def test_bad_metric_named(self, workspace, capsys):
+        run = workspace / "fixture.trec"
+        run.write_text("q0 Q0 d00 1 2.0 t\n")
+        assert main(["eval", "--run", str(run), "--qrels", str(workspace / "qrels.txt"),
+                     "--metric", "ndcg@ten"]) == 2
+        assert "bad metric 'ndcg@ten'" in capsys.readouterr().err
+
+    def test_package_all_resolves(self):
+        assert len(lateir.__all__) == len(set(lateir.__all__))
+        assert [name for name in lateir.__all__ if not hasattr(lateir, name)] == []
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -8,10 +8,9 @@ import pytest
 
 from lateir.compressed import (
     Codebook,
-    ResidualCode,
+    CompressedIndex,
     ResidualCodec,
     compress,
-    decompress,
     default_centroid_count,
     load_compressed,
     pack_codes,
@@ -173,11 +172,7 @@ class TestCompress:
             rep = index.codec.values[np.arange(8), codes].astype(np.float64)
             raw = centroid + rep
             recon = raw / np.linalg.norm(raw)
-            got = decompress(
-                ResidualCode(t, index.packed_codes[pos].tobytes()),
-                codebook,
-                index.codec,
-            )
+            got = index.decode(np.array([pos]))[0]
             max_offset = np.abs(index.codec.values).max()
             assert np.abs(got.astype(np.float64) - centroid).max() <= 2 * max_offset + 1e-6
             np.testing.assert_allclose(got.astype(np.float64), recon, atol=1e-6)
@@ -227,34 +222,31 @@ class TestCompress:
 
 
 class TestDecompress:
-    def test_bad_centroid_id(self, rng):
-        store = random_store(rng, 10, 8)
-        codebook = train_codebook(store, k=4, iterations=2, seed=0)
-        index = compress(store, codebook)
-        with pytest.raises(BadCentroidId):
-            decompress(ResidualCode(4, bytes(2)), codebook, index.codec)
-        with pytest.raises(BadCentroidId):
-            decompress(ResidualCode(-1, bytes(2)), codebook, index.codec)
-
     def test_zero_representatives_give_centroid(self, rng):
         centroids = unit_rows(rng, 4, 8).astype(np.float32)
-        codebook = Codebook(centroids=centroids, seed=0)
-        codec = ResidualCodec(
-            cutoffs=np.zeros((8, 3), np.float32), values=np.zeros((8, 4), np.float32)
+        index = CompressedIndex(
+            ["d"], np.array([0, 4], dtype=np.int64),
+            codebook=Codebook(centroids=centroids, seed=0),
+            codec=ResidualCodec(
+                cutoffs=np.zeros((8, 3), np.float32), values=np.zeros((8, 4), np.float32)
+            ),
+            centroid_ids=np.array([2, 0, 3, 2], dtype=np.uint32),
+            packed_codes=np.zeros((4, 2), dtype=np.uint8),
+            params={},
         )
-        got = decompress(ResidualCode(2, bytes(2)), codebook, codec)
-        np.testing.assert_allclose(got, centroids[2], atol=1e-6)
+        got = index.decode(np.arange(4))
+        np.testing.assert_allclose(got, centroids[[2, 0, 3, 2]], atol=1e-6)
+        np.testing.assert_array_equal(index.ivf_offsets, [0, 1, 1, 2, 3])
+        np.testing.assert_array_equal(index.ivf_docs, [0, 0, 0])
 
     def test_decompress_unit_norm(self, rng):
         store = random_store(rng, 20, 8)
         codebook = train_codebook(store, k=8, iterations=3, seed=0)
         index = compress(store, codebook)
-        vec = decompress(
-            ResidualCode(int(index.centroid_ids[0]), index.packed_codes[0].tobytes()),
-            codebook,
-            index.codec,
-        )
-        assert np.linalg.norm(vec.astype(np.float64)) == pytest.approx(1.0, abs=1e-3)
+        vecs = index.decode(np.arange(index.total_tokens))
+        assert vecs.dtype == np.float32
+        norms = np.linalg.norm(vecs.astype(np.float64), axis=1)
+        np.testing.assert_allclose(norms, 1.0, atol=1e-3)
 
 
 class TestSearch:
@@ -276,20 +268,11 @@ class TestSearch:
     def test_exhaustive_limit_equals_exact_over_decompressed(self, rng):
         store, index, _ = self._built(rng)
         dim = store.dim
-        # oracle: exact search over a store of publicly decompressed vectors
-        recon_entries = {}
-        for i, doc_id in enumerate(index.doc_ids):
-            rows = []
-            for pos in range(int(index.offsets[i + 1] - index.offsets[i])):
-                t = int(index.offsets[i]) + pos
-                rows.append(
-                    decompress(
-                        ResidualCode(int(index.centroid_ids[t]), index.packed_codes[t].tobytes()),
-                        index.codebook,
-                        index.codec,
-                    )
-                )
-            recon_entries[doc_id] = np.vstack(rows)
+        # oracle: exact search over each document's decoded vectors, one document at a time
+        recon_entries = {
+            doc_id: index.decode(np.arange(index.offsets[i], index.offsets[i + 1]))
+            for i, doc_id in enumerate(index.doc_ids)
+        }
         for _ in range(5):
             q = unit_rows(rng, 4, dim)
             got = search_compressed(

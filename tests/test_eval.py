@@ -67,6 +67,11 @@ class TestMetricSpec:
         with pytest.raises(ValueError):
             MetricSpec.parse("ndcg@0")
 
+    @pytest.mark.parametrize("text", ["ndcg@ten", "ndcg", "bleu@4", "ndcg@0", "@10"])
+    def test_parse_error_names_the_spec(self, text):
+        with pytest.raises(ValueError, match=f"bad metric '{text}'"):
+            MetricSpec.parse(text)
+
 
 class TestNdcg:
     def test_relevant_at_rank_1(self):

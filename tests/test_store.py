@@ -326,6 +326,23 @@ class TestIngest:
             assert (kind in str(info.value)) if kind == "banana" else info.value.doc_id == "d0"
 
 
+    @pytest.mark.parametrize("precision", ["float32", "float16"])
+    @pytest.mark.parametrize("value, error", [(np.nan, FormatError), (np.inf, FormatError),
+                                              (0.0, ZeroVectorRow)], ids=["nan", "inf", "zero"])
+    def test_load_rejects_damaged_row(self, tmp_path, rng, precision, value, error):
+        save_store(random_store(rng, 4, 8, min_tokens=3, max_tokens=5, precision=precision),
+                   tmp_path / "s")
+        path = tmp_path / "s" / "embeddings.bin"
+        dim, _, entries = read_embedding_file(path)
+        rows = entries[2][1].copy()
+        rows[1, 3 if error is FormatError else slice(None)] = value
+        entries[2] = ("d2", rows)
+        write_embedding_file(path, dim, precision, entries)
+        with pytest.raises(error) as info:
+            load_store(tmp_path / "s")
+        assert "entry 'd2' row 1 " in str(info.value)
+
+
 class TestBlockIngest:
     """Ingest normalizes the token matrix in blocks of lateir.store._ROW_BLOCK rows."""
 
@@ -460,6 +477,25 @@ class TestCorpusJsonl:
         with pytest.raises(ParseError) as info:
             read_corpus_jsonl(path)
         assert info.value.line == 2
+
+
+    @pytest.mark.parametrize("line", [
+        '{"id": "d2", "text": null}', '{"id": "d2", "text": 5}', '{"id": "d2", "text": ["x"]}',
+        '{"id": null, "text": "x"}', '{"id": true, "text": "x"}', '{"id": 2.0, "text": "x"}',
+        '{"id": ["d2"], "text": "x"}', '{"id": {}, "text": "x"}',
+    ])
+    def test_mistyped_id_or_text_rejected(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "d1", "text": "x"}\n' + line + "\n")
+        with pytest.raises(ParseError) as info:
+            read_corpus_jsonl(path)
+        assert info.value.line == 2
+        assert ("'text'" if '"text": "x"' not in line else "'id'") in str(info.value)
+
+    def test_integer_id_read_as_digits(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": 7, "text": "x"}\n{"id": -3, "text": "y"}\n')
+        assert [r.id for r in read_corpus_jsonl(path)] == ["7", "-3"]
 
 
 class TestTextLines:
