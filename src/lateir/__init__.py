@@ -48,7 +48,6 @@ from .scoring import (
 from .store import (
     CorpusRecord,
     EmbeddingStore,
-    cast_precision,
     ingest_embeddings,
     load_store,
     normalize_matrix,
@@ -78,7 +77,6 @@ __all__ = [
     "build_bm25",
     "build_exact",
     "build_nway",
-    "cast_precision",
     "compress",
     "default_centroid_count",
     "evaluate",

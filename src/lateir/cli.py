@@ -63,9 +63,9 @@ from .mining import (
 )
 from .ranking import run_lists_from_trec, write_trec_run
 from .scoring import maxsim
-from .store import EMBEDDING_FORMAT_VERSION, INDEX_FORMAT_VERSION, index_mode, ingest_embeddings
-from .store import load_store, read_corpus_jsonl, read_rows, save_store, write_json, write_jsonl
-from .store import write_rows
+from .store import EMBEDDING_FORMAT_VERSION, INDEX_FORMAT_VERSION, EmbeddingStore, index_mode
+from .store import ingest_embeddings, load_store, read_corpus_jsonl, read_rows, save_store
+from .store import write_json, write_jsonl, write_rows
 
 FORMAT_VERSIONS = {"embedding": EMBEDDING_FORMAT_VERSION, "index": INDEX_FORMAT_VERSION}
 
@@ -192,11 +192,20 @@ KIND_NAMES = {"doc": "document", "query": "query"}
 Result = tuple[Path, dict] | None  # output path and manifest parameters; None: stdout
 
 
+def _load_store_of(o: dict, option: str, kind: str) -> EmbeddingStore:
+    """The store at option's path; ConfigError unless it holds `kind` entries."""
+    path = o[option.replace("-", "_")]
+    store = load_store(path)
+    if store.kind != kind:
+        raise ConfigError(f"--{option} {path} is a {store.kind} store, expected a {kind} store")
+    return store
+
+
 def cmd_ingest(o: dict) -> Result:
     corpus = read_corpus_jsonl(o["corpus"])
     corpus_ids = {r.id for r in corpus}
     store = ingest_embeddings(o["embeddings"], KIND_NAMES[o["kind"]])
-    unknown = [doc_id for doc_id in store.entries if doc_id not in corpus_ids]
+    unknown = [doc_id for doc_id in store.doc_ids if doc_id not in corpus_ids]
     if unknown:
         raise ConfigError(
             f"{len(unknown)} embedding ids are not in the corpus (first: {unknown[0]!r})"
@@ -210,7 +219,7 @@ def cmd_ingest(o: dict) -> Result:
 
 
 def cmd_index(o: dict) -> Result:
-    store = load_store(o["store"])
+    store = _load_store_of(o, "store", "document")
     out = Path(o["out"])
     if o["mode"] == "exact":
         index = build_exact(store, o["precision"])
@@ -244,7 +253,7 @@ def cmd_search(o: dict) -> Result:
     mode = index_mode(index_dir)
     if mode == "bm25":
         raise ConfigError(f"{index_dir} is a BM25 index; search it with `lateir bm25 search`")
-    queries = load_store(o["queries"])
+    queries = _load_store_of(o, "queries", "query")
     if mode == "exact":
         index, search, options = load_exact(index_dir), search_exact, {}
     else:
@@ -260,8 +269,8 @@ def cmd_search(o: dict) -> Result:
 
 
 def cmd_score(o: dict) -> Result:
-    query_store = load_store(o["query_store"])
-    doc_store = load_store(o["doc_store"])
+    query_store = _load_store_of(o, "query-store", "query")
+    doc_store = _load_store_of(o, "doc-store", "document")
     rows = []
     for lineno, (qid, did) in read_rows(o["pairs"], 2, sep="\t"):
         if qid not in query_store.entries:

@@ -10,17 +10,18 @@ Embedding file format (little-endian throughout)::
     entry:   u16 id length | id bytes (UTF-8) | u16 token count
              | token_count * dim values in the declared precision, row-major
 
+The writer rejects an id or a row count that does not fit its u16 field.
 A persisted store is a directory holding ``embeddings.bin`` in that format
-plus ``manifest.json``.
+plus ``manifest.json``; one pass reads the file into a table and a matrix.
 
 Stores and the exact and compressed indexes are TokenTables: doc ids plus
 int64 token offsets, document i owning token rows offsets[i]:offsets[i + 1]
 of one token matrix.  An index saves its table as three container records
 (``table_arrays``), read and checked against ``meta.json`` by ``read_table``.
-In memory, a store is that matrix in the store's precision, its table, and a
-read-only ``entries`` view (id -> rows); ingestion normalizes the matrix in
-blocks of ``_ROW_BLOCK`` rows, and both it and ``load_store`` reject zero-norm
-rows and NaN or infinite values.
+In memory, a store is that matrix in the store's precision (read-only once
+loaded), its table, and a read-only ``entries`` view (id -> rows); ingestion
+normalizes the matrix in blocks of ``_ROW_BLOCK`` rows, and both it and
+``load_store`` reject zero-norm rows and NaN or infinite values.
 
 An index directory holds array containers plus ``meta.json``, which records
 its ``mode`` and ``format_version`` (``save_index`` / ``read_index_meta``);
@@ -30,7 +31,9 @@ version | u32 array count, then one ``.npy`` record per array.
 Strings are stored as a UTF-8 blob (uint8) plus int64 byte offsets, and a
 record's strings must be distinct.
 Stores, containers, JSON metadata and text outputs are written to a temporary
-sibling, then renamed; ``read_json`` checks each metadata key's JSON type.
+sibling, then renamed; a store or index directory renames its files only once
+all are written, its metadata last (``_replacing_files``).  ``read_json``
+checks each metadata key's JSON type.
 
 Every line-oriented text file (runs, qrels, pairs, teacher scores, corpus,
 negatives and n-way JSONL) is read by ``read_rows`` or ``read_jsonl`` and
@@ -48,7 +51,7 @@ import re
 import struct
 import tokenize
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
@@ -140,6 +143,9 @@ def write_embedding_file(
                     f"entry {doc_id!r} has shape {matrix.shape}, expected (*, {dim})"
                 )
             id_bytes = doc_id.encode("utf-8")
+            if max(len(id_bytes), len(matrix)) > 0xFFFF:
+                raise FormatError(f"entry {doc_id!r} has an id of {len(id_bytes)} UTF-8 bytes "
+                                  f"and {len(matrix)} rows; each may be at most 65535")
             fh.write(struct.pack("<H", len(id_bytes)))
             fh.write(id_bytes)
             fh.write(struct.pack("<H", matrix.shape[0]))
@@ -147,50 +153,41 @@ def write_embedding_file(
     return len(entries)
 
 
-def read_embedding_file(path: str | Path) -> tuple[int, str, list[tuple[str, np.ndarray]]]:
-    """Read an embedding file, returning (dim, precision, entries)."""
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
+def read_embedding_file(path: str | Path) -> tuple[TokenTable, np.ndarray]:
+    """Read an embedding file in one pass: (table, tokens), its buffer less the headers."""
+    data = np.fromfile(path, dtype=np.uint8)
+    check_format(len(data) >= _HEADER.size, path, "truncated header")
     magic, version, dim, prec_code, count = _HEADER.unpack_from(data, 0)
-    if magic != EMBEDDING_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != EMBEDDING_FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if prec_code not in _CODE_PRECISIONS:
-        raise FormatError(f"{path}: unknown precision code {prec_code}")
-    if dim < 1:
-        raise FormatError(f"{path}: invalid dim {dim}")
-    precision = _CODE_PRECISIONS[prec_code]
-    dtype = PRECISION_DTYPES[precision]
+    check_format(magic == EMBEDDING_MAGIC, path, f"bad magic {magic!r}")
+    check_format(version == EMBEDDING_FORMAT_VERSION, path, f"unsupported version {version}")
+    check_format(prec_code in _CODE_PRECISIONS, path, f"unknown precision code {prec_code}")
+    check_format(dim >= 1, path, f"invalid dim {dim}")
+    dtype = PRECISION_DTYPES[_CODE_PRECISIONS[prec_code]]
 
-    entries: list[tuple[str, np.ndarray]] = []
-    seen: set[str] = set()
-    offset = _HEADER.size
-    for _ in range(count):
-        try:
-            (id_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            doc_id = data[offset : offset + id_len].decode("utf-8")
-            offset += id_len
-            (rows,) = struct.unpack_from("<H", data, offset)
-            offset += 2
+    counts, offset, end = {}, _HEADER.size, 0  # id -> rows; rows moved so far end at end
+    with memoryview(data) as view:
+        for _ in range(count):
+            try:
+                (id_len,) = struct.unpack_from("<H", view, offset)
+                doc_id = str(view[offset + 2 : offset + 2 + id_len], "utf-8")
+                (rows,) = struct.unpack_from("<H", view, offset + 2 + id_len)
+            except (struct.error, UnicodeDecodeError) as exc:
+                raise FormatError(f"{path}: corrupt entry table: {exc}") from exc
+            offset += 4 + id_len
             nbytes = rows * dim * dtype.itemsize
             if offset + nbytes > len(data):
                 raise FormatError(f"{path}: truncated entry {doc_id!r}")
-            matrix = np.frombuffer(data, dtype=dtype, count=rows * dim, offset=offset)
-            offset += nbytes
-        except (struct.error, UnicodeDecodeError) as exc:
-            raise FormatError(f"{path}: corrupt entry table: {exc}") from exc
-        if rows < 1:
-            raise FormatError(f"{path}: entry {doc_id!r} has zero tokens")
-        if doc_id in seen:
-            raise FormatError(f"{path}: duplicate id {doc_id!r}")
-        seen.add(doc_id)
-        entries.append((doc_id, matrix.reshape(rows, dim)))
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes")
-    return dim, precision, entries
+            if rows < 1:
+                raise FormatError(f"{path}: entry {doc_id!r} has zero tokens")
+            if doc_id in counts:
+                raise FormatError(f"{path}: duplicate id {doc_id!r}")
+            counts[doc_id] = rows
+            view[end : end + nbytes] = view[offset : offset + nbytes]  # shifts left, overlap-safe
+            end, offset = end + nbytes, offset + nbytes
+    check_format(offset == len(data), path, f"{len(data) - offset} trailing bytes")
+    data.resize(end, refcheck=False)  # hands the headers' bytes back
+    table = TokenTable(list(counts), np.cumsum([0, *counts.values()], dtype=np.int64))
+    return table, data.view(dtype).reshape(-1, dim)
 
 
 @contextmanager
@@ -205,6 +202,24 @@ def _replacing(path: str | Path, text: bool = False):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def _replacing_files(directory: str | Path, names: Sequence[str]):
+    """{name: temporary sibling of directory/name} for the block to write; once it has
+    succeeded, each replaces its file in the order named, so a write that fails part way
+    leaves every previous file of the directory intact."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    tmps = {name: directory / f"{name}.tmp" for name in names}
+    try:
+        yield tmps
+    except BaseException:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+        raise
+    for name, tmp in tmps.items():
+        os.replace(tmp, directory / name)
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -233,12 +248,12 @@ def _check_keys(obj: dict, path: str | Path, keys: Mapping[str, type | tuple[typ
 
 
 def save_index(directory: str | Path, meta: dict, files: Mapping[str, tuple[bytes, Sequence]]):
-    """Write array containers {name: (magic, arrays)}, then meta.json plus format_version."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, (magic, arrays) in files.items():
-        write_arrays(directory / name, magic, INDEX_FORMAT_VERSION, arrays)
-    write_json(directory / "meta.json", {**meta, "format_version": INDEX_FORMAT_VERSION})
+    """Write array containers {name: (magic, arrays)}, then meta.json plus format_version,
+    replacing the directory's files only once all are written (see _replacing_files)."""
+    with _replacing_files(directory, [*files, "meta.json"]) as tmp:
+        for name, (magic, arrays) in files.items():
+            write_arrays(tmp[name], magic, INDEX_FORMAT_VERSION, arrays)
+        write_json(tmp["meta.json"], {**meta, "format_version": INDEX_FORMAT_VERSION})
 
 
 def _index_meta_path(directory: str | Path) -> Path:
@@ -466,10 +481,21 @@ class EmbeddingStore(TokenTable):
             if not len(matrix):
                 raise FormatError(f"document {doc_id!r} has zero tokens")
         matrices, dtype = list(entries.values()), PRECISION_DTYPES[precision]
-        super().__init__(list(entries), np.cumsum([0] + [len(m) for m in matrices], dtype=np.int64))
-        self.dim, self.precision, self.kind = dim, precision, kind
-        self.tokens = np.concatenate([np.empty((0, dim), dtype), *matrices], dtype=dtype)
-        self.manifest = manifest or StoreManifest("", "", 0)
+        offsets = np.cumsum([0] + [len(m) for m in matrices], dtype=np.int64)
+        tokens = np.concatenate([np.empty((0, dim), dtype), *matrices], dtype=dtype)
+        store = self.from_table(TokenTable(list(entries), offsets), tokens, kind, manifest)
+        vars(self).update(vars(store))
+
+    @classmethod
+    def from_table(cls, table: TokenTable, tokens: np.ndarray, kind: str,
+                   manifest: StoreManifest | None = None) -> EmbeddingStore:
+        """The store of table over tokens, its (total_tokens, dim) matrix in a store
+        precision, which fixes dim and precision; copies neither."""
+        store = cls.__new__(cls)
+        TokenTable.__init__(store, table.doc_ids, table.offsets)
+        store.dim, store.precision, store.kind = tokens.shape[1], tokens.dtype.name, kind
+        store.tokens, store.manifest = tokens, manifest or StoreManifest("", "", 0)
+        return store
 
     def __len__(self) -> int:
         return self.n_docs
@@ -522,9 +548,9 @@ def ingest_embeddings(path: str | Path, kind: str) -> EmbeddingStore:
     error, which names the entry and, for a row, its index in the entry.
     """
     limit = token_limit(kind)
-    dim, precision, raw = read_embedding_file(path)
-    manifest = StoreManifest(Path(path).stem, _created_stamp(path), len(raw))
-    store = EmbeddingStore(dim, precision, kind, dict(raw), manifest)
+    table, tokens = read_embedding_file(path)
+    manifest = StoreManifest(Path(path).stem, _created_stamp(path), table.n_docs)
+    store = EmbeddingStore.from_table(table, tokens, kind, manifest)
     too_long = np.flatnonzero(store.token_counts() > limit)
     end = int(store.offsets[too_long[0]]) if too_long.size else store.total_tokens
     for start in range(0, end, _ROW_BLOCK):
@@ -540,23 +566,13 @@ def ingest_embeddings(path: str | Path, kind: str) -> EmbeddingStore:
             if not rows.size:
                 break
     _check_lengths(store)
+    store.tokens.flags.writeable = False
     return store
 
 
-def cast_precision(store: EmbeddingStore, target: str) -> EmbeddingStore:
-    """Return a copy of the store with values round-to-nearest in target precision."""
-    if target not in PRECISION_DTYPES:
-        raise ValueError(f"unknown precision {target!r}")
-    return EmbeddingStore(store.dim, target, store.kind, store.entries, replace(store.manifest))
-
-
 def save_store(store: EmbeddingStore, directory: str | Path) -> None:
-    """Persist a store as <dir>/embeddings.bin + <dir>/manifest.json."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_embedding_file(
-        directory / "embeddings.bin", store.dim, store.precision, store.entries.items()
-    )
+    """Persist a store as <dir>/embeddings.bin + <dir>/manifest.json, replacing the
+    directory's files only once both are written (see _replacing_files)."""
     manifest = {
         "corpus": store.manifest.corpus,
         "created": store.manifest.created,
@@ -565,7 +581,10 @@ def save_store(store: EmbeddingStore, directory: str | Path) -> None:
         "precision": store.precision,
         "kind": store.kind,
     }
-    write_json(directory / "manifest.json", manifest)
+    with _replacing_files(directory, ["embeddings.bin", "manifest.json"]) as tmp:
+        entries = store.entries.items()
+        write_embedding_file(tmp["embeddings.bin"], store.dim, store.precision, entries)
+        write_json(tmp["manifest.json"], manifest)
 
 
 def load_store(directory: str | Path) -> EmbeddingStore:
@@ -577,16 +596,17 @@ def load_store(directory: str | Path) -> EmbeddingStore:
     meta = read_json(directory / "manifest.json", keys)
     kind = meta["kind"]
     check_format(kind in KINDS, directory / "manifest.json", f"unknown kind {kind!r}")
-    dim, precision, raw = read_embedding_file(directory / "embeddings.bin")
-    if dim != meta["dim"] or precision != meta["precision"]:
-        raise FormatError(f"{directory}: manifest disagrees with embeddings.bin")
-    if len(raw) != meta["entry_count"]:
-        raise FormatError(f"{directory}: manifest entry_count disagrees with data")
     manifest = StoreManifest(meta["corpus"], meta["created"], meta["entry_count"])
-    store = EmbeddingStore(dim, precision, kind, dict(raw), manifest)
+    table, tokens = read_embedding_file(directory / "embeddings.bin")
+    store = EmbeddingStore.from_table(table, tokens, kind, manifest)
+    if (store.dim, store.precision) != (meta["dim"], meta["precision"]):
+        raise FormatError(f"{directory}: manifest disagrees with embeddings.bin")
+    if len(store) != meta["entry_count"]:
+        raise FormatError(f"{directory}: manifest entry_count disagrees with data")
     _check_lengths(store)
     for start in range(0, store.total_tokens, _ROW_BLOCK):
         _checked_rows(store, start, start + _ROW_BLOCK)
+    store.tokens.flags.writeable = False
     return store
 
 

@@ -14,6 +14,7 @@ from lateir.store import (
     EmbeddingStore,
     StoreManifest,
     normalize_matrix,
+    read_embedding_file,
     write_arrays,
 )
 
@@ -141,6 +142,32 @@ def family_queries(
             rng, identities[target], tokens_per_query, radius
         )
     return out
+
+
+def file_entries(path: Path) -> tuple[int, str, list[tuple[str, np.ndarray]]]:
+    """(dim, precision, [(id, rows)]) of an embedding file, each rows a copy to edit."""
+    table, tokens = read_embedding_file(path)
+    bounds = table.offsets.tolist()
+    rows = [tokens[lo:hi].copy() for lo, hi in zip(bounds, bounds[1:])]
+    return tokens.shape[1], tokens.dtype.name, list(zip(table.doc_ids, rows))
+
+
+def dir_bytes(directory: Path) -> dict[str, bytes]:
+    """{name: bytes} of every file in a directory."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def fail_on_call(real: Callable, n: int) -> Callable:
+    """real, except that its n-th call raises OSError instead."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == n:
+            raise OSError("disk full")
+        return real(*args, **kwargs)
+
+    return wrapper
 
 
 def read_container(path: Path) -> tuple[bytes, int, list[np.ndarray]]:

@@ -14,11 +14,12 @@ from lateir.bm25 import (
     search_bm25,
     tokenize,
 )
+import lateir.store
 from lateir.cli import main
 from lateir.errors import ConfigError, DuplicateDocId, FormatError
 from lateir.store import CorpusRecord
 
-from conftest import edit_container, set_item
+from conftest import dir_bytes, edit_container, fail_on_call, set_item
 
 
 def naive_bm25(corpus, t, query, k1, b):
@@ -247,6 +248,18 @@ class TestPersistence:
             assert got.n_docs == 0 and got.avgdl == 0.0 and got.terms == [] and got.postings == {}
             assert got.bounds.tolist() == [0]
             assert got.docs.size == got.tfs.size == got.doc_lengths.size == 0
+
+    def test_failed_meta_write_keeps_previous_index(self, tmp_path, rng, monkeypatch):
+        # postings.bin is written before meta.json fails: neither replaces its file
+        t = Tokenizer("char_bigram")
+        save_bm25(build_bm25(random_corpus(rng, 15), t), tmp_path / "bm25")
+        before = dir_bytes(tmp_path / "bm25")
+        run = search_bm25(load_bm25(tmp_path / "bm25"), "abcdef", t, k=10).entries
+        monkeypatch.setattr(lateir.store, "write_json", fail_on_call(lateir.store.write_json, 1))
+        with pytest.raises(OSError, match="disk full"):
+            save_bm25(build_bm25(random_corpus(rng, 20), t, k1=1.5), tmp_path / "bm25")
+        assert dir_bytes(tmp_path / "bm25") == before
+        assert search_bm25(load_bm25(tmp_path / "bm25"), "abcdef", t, k=10).entries == run
 
     def test_identical_bytes_across_builds(self, tmp_path, rng):
         corpus = random_corpus(rng, 15)

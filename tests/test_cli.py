@@ -10,9 +10,10 @@ import lateir
 from lateir.cli import COMMANDS, main, run_pipeline
 from lateir.errors import ConfigError
 from lateir.ranking import read_trec_run
-from lateir.store import read_embedding_file, write_embedding_file
+import lateir.store
+from lateir.store import write_embedding_file
 
-from conftest import perturb_rows, unit_rows
+from conftest import dir_bytes, fail_on_call, file_entries, perturb_rows, unit_rows
 
 
 @pytest.fixture
@@ -99,8 +100,8 @@ class TestIngest:
     def test_damaged_store_rejected_by_index(self, workspace, capsys):
         _ingest_both(workspace)
         path = workspace / "docstore" / "embeddings.bin"
-        dim, precision, entries = read_embedding_file(path)
-        rows = entries[3][1].copy()
+        dim, precision, entries = file_entries(path)
+        rows = entries[3][1]
         rows[2, 0] = np.nan
         entries[3] = (entries[3][0], rows)
         write_embedding_file(path, dim, precision, entries)
@@ -228,6 +229,55 @@ class TestSearchPipeline:
             manifest = json.loads((workspace / f"{store}.trec.manifest.json").read_text())
             hashes.append(manifest["inputs"]["index"]["sha256"])
         assert hashes[0] == hashes[1]
+
+
+    def test_failed_rebuild_keeps_previous_index(self, workspace, capsys, monkeypatch):
+        _ingest_both(workspace)
+        index, run = workspace / "comp-idx", workspace / "comp.trec"
+        build = ["index", "--store", str(workspace / "docstore"), "--out", str(index),
+                 "--mode", "compressed", "--k-centroids", "16", "--iterations", "3"]
+        search = ["search", "--index", str(index), "--queries", str(workspace / "qstore"),
+                  "--out", str(run)]
+        run_ok(build + ["--seed", "1"])
+        run_ok(search)
+        before, ranked = dir_bytes(index), run.read_bytes()
+        monkeypatch.setattr(lateir.store, "write_arrays",
+                            fail_on_call(lateir.store.write_arrays, 2))
+        assert main(build + ["--seed", "2"]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert dir_bytes(index) == before
+        run_ok(search)
+        assert run.read_bytes() == ranked
+
+
+class TestStoreKind:
+    """index takes a document store, search a query store, and score one of each."""
+
+    @pytest.mark.parametrize(
+        "argv, option, found",
+        [
+            (["index", "--store", "qstore", "--out", "idx"], "--store", "query"),
+            (["search", "--index", "exact-idx", "--queries", "docstore", "--out", "run.trec"],
+             "--queries", "document"),
+            (["score", "--query-store", "docstore", "--doc-store", "docstore",
+              "--pairs", "pairs.tsv", "--out", "scores.tsv"], "--query-store", "document"),
+            (["score", "--query-store", "qstore", "--doc-store", "qstore",
+              "--pairs", "pairs.tsv", "--out", "scores.tsv"], "--doc-store", "query"),
+        ],
+        ids=["index", "search", "score-queries", "score-docs"],
+    )
+    def test_wrong_kind_rejected(self, workspace, capsys, argv, option, found):
+        _ingest_both(workspace)
+        run_ok(["index", "--store", str(workspace / "docstore"), "--out",
+                str(workspace / "exact-idx")])
+        (workspace / "pairs.tsv").write_text("q0\td00\n")
+        before = sorted(p.name for p in workspace.iterdir())
+        argv = [a if a.startswith("--") or a == argv[0] else str(workspace / a) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        path = argv[argv.index(option) + 1]
+        assert f"{option} {path} is a {found} store" in err
+        assert sorted(p.name for p in workspace.iterdir()) == before
 
 
 class TestScore:

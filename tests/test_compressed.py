@@ -21,11 +21,14 @@ from lateir.compressed import (
 )
 from lateir.errors import BadCentroidId, DimMismatch, EmptyStore, FormatError, InsufficientTokens
 from lateir.exact import build_exact, save_exact, search_exact
+import lateir.store
 from lateir.store import EmbeddingStore
 from lateir.scoring import maxsim
 from conftest import (
     BAD_QUERIES,
+    dir_bytes,
     edit_container,
+    fail_on_call,
     family_corpus,
     family_queries,
     random_store,
@@ -373,6 +376,21 @@ class TestPersistence:
             assert (tmp_path / "one" / filename).read_bytes() == (
                 tmp_path / "two" / filename
             ).read_bytes(), filename
+
+    def test_failed_save_keeps_previous_index(self, tmp_path, rng, monkeypatch):
+        # codebook.bin is written before residuals.bin fails: no file of the old index changes
+        store = random_store(rng, 30, 12, min_tokens=2, max_tokens=9)
+        save_compressed(compress(store, train_codebook(store, k=8, seed=0)), tmp_path / "idx")
+        before = dir_bytes(tmp_path / "idx")
+        q = unit_rows(rng, 3, 12)
+        run = search_compressed(load_compressed(tmp_path / "idx"), q, k=10).entries
+        newer = compress(store, train_codebook(store, k=8, seed=1))
+        monkeypatch.setattr(lateir.store, "write_arrays",
+                            fail_on_call(lateir.store.write_arrays, 2))
+        with pytest.raises(OSError, match="disk full"):
+            save_compressed(newer, tmp_path / "idx")
+        assert dir_bytes(tmp_path / "idx") == before  # and no .tmp file is left
+        assert search_compressed(load_compressed(tmp_path / "idx"), q, k=10).entries == run
 
     def test_doc_table_records_match_exact_index(self, tmp_path, rng):
         store = random_store(rng, 30, 12, min_tokens=2, max_tokens=9)

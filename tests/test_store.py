@@ -22,7 +22,6 @@ from lateir.store import (
     PRECISION_DTYPES,
     EmbeddingStore,
     TokenTable,
-    cast_precision,
     ingest_embeddings,
     load_store,
     normalize_matrix,
@@ -44,7 +43,14 @@ from lateir.store import (
 from lateir.exact import build_exact
 from lateir.ranking import RankedList, write_trec_run
 
-from conftest import random_store, store_with_empty_doc, unit_rows
+from conftest import (
+    dir_bytes,
+    fail_on_call,
+    file_entries,
+    random_store,
+    store_with_empty_doc,
+    unit_rows,
+)
 
 # each text writer and one item it writes
 TEXT_WRITERS = {
@@ -124,19 +130,89 @@ class TestEmbeddingFile:
         path = tmp_path / "e.bin"
         entries = self._entries(rng)
         write_embedding_file(path, 4, "float32", entries)
-        dim, precision, back = read_embedding_file(path)
-        assert (dim, precision) == (4, "float32")
-        assert [d for d, _ in back] == [d for d, _ in entries]
-        for (_, a), (_, b) in zip(entries, back):
-            np.testing.assert_array_equal(np.asarray(a, dtype=np.float32), b)
+        table, tokens = read_embedding_file(path)
+        assert (tokens.shape, tokens.dtype) == ((15, 4), np.float32)
+        assert table.doc_ids == [d for d, _ in entries]
+        assert table.offsets.tolist() == [0, 5, 10, 15]
+        np.testing.assert_array_equal(np.vstack([m for _, m in entries]).astype(np.float32), tokens)
 
     def test_float16_round_trip(self, tmp_path, rng):
         path = tmp_path / "e.bin"
         entries = self._entries(rng, dim=6)
         write_embedding_file(path, 6, "float16", entries)
-        _, precision, back = read_embedding_file(path)
-        assert precision == "float16"
-        assert back[0][1].dtype == np.float16
+        _, tokens = read_embedding_file(path)
+        assert (tokens.shape, tokens.dtype) == ((15, 6), np.float16)
+
+    @pytest.mark.parametrize("precision", ["float32", "float16"])
+    def test_round_trip_bytes(self, tmp_path, rng, precision):
+        # ids of 1- to 4-byte UTF-8 characters, entries of 1 and 512 rows
+        ids = ["a", "é", "東京", "😀", "aé東😀", "x" * 300]
+        sizes = [1, 512, 3, 1, 512, 2]
+        entries = [(i, rng.standard_normal((n, 5))) for i, n in zip(ids, sizes)]
+        path = tmp_path / "e.bin"
+        write_embedding_file(path, 5, precision, entries)
+        table, tokens = read_embedding_file(path)
+        assert table.doc_ids == ids
+        assert table.offsets.tolist() == np.cumsum([0] + sizes).tolist()
+        assert table.offsets.dtype == np.int64
+        dtype = PRECISION_DTYPES[precision]
+        assert tokens.dtype == dtype and tokens.shape == (sum(sizes), 5)
+        assert tokens.tobytes() == b"".join(m.astype(dtype).tobytes() for _, m in entries)
+
+    @pytest.mark.parametrize("precision", ["float32", "float16"])
+    def test_no_entries(self, tmp_path, precision):
+        path = tmp_path / "e.bin"
+        write_embedding_file(path, 7, precision, [])
+        table, tokens = read_embedding_file(path)
+        assert (table.doc_ids, table.offsets.tolist()) == ([], [0])
+        assert tokens.shape == (0, 7) and tokens.dtype == PRECISION_DTYPES[precision]
+
+    def test_matrix_holds_only_its_rows(self, tmp_path, rng):
+        # the matrix's memory is exactly its rows: not the file's bytes behind a view
+        path = tmp_path / "e.bin"
+        write_embedding_file(path, 4, "float16", self._entries(rng, n=20, rows=7))
+        _, tokens = read_embedding_file(path)
+        assert tokens.shape == (140, 4) and tokens.flags.c_contiguous and tokens.flags.writeable
+        root = tokens
+        while isinstance(root, np.ndarray) and root.base is not None:
+            root = root.base
+        assert memoryview(root).nbytes == tokens.nbytes == 140 * 4 * 2
+
+    @staticmethod
+    def _file(version=1, precision=0, dim=2, count=1, body=b""):
+        return struct.pack("<4sIIBQ", EMBEDDING_MAGIC, version, dim, precision, count) + body
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (EMBEDDING_MAGIC + b"\x01\x00\x00", "truncated header"),
+            (_file(version=2), "unsupported version 2"),
+            (_file(precision=7), "unknown precision code 7"),
+            (_file(dim=0), "invalid dim 0"),
+            (_file(), "corrupt entry table"),
+            (_file(body=b"\x01\x00\xff\x01\x00" + bytes(8)), "corrupt entry table"),
+            (_file(body=b"\x01\x00a\x02\x00" + bytes(8)), "truncated entry 'a'"),
+            (_file(body=b"\x01\x00a\x00\x00"), "entry 'a' has zero tokens"),
+            (_file(count=0, body=b"abc"), "3 trailing bytes"),
+        ],
+        ids=["header", "version", "precision", "dim", "no-entry", "bad-utf8", "truncated-entry",
+             "zero-tokens", "trailing"],
+    )
+    def test_each_check_named(self, tmp_path, data, message):
+        path = tmp_path / "e.bin"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=message):
+            read_embedding_file(path)
+
+    @pytest.mark.parametrize("doc_id, rows", [("é" * 32768, 1), ("d", 65536)],
+                             ids=["long-id", "many-rows"])
+    def test_write_rejects_u16_overflow(self, tmp_path, doc_id, rows):
+        path = tmp_path / "e.bin"
+        entries = [("a", np.ones((1, 2))), (doc_id, np.ones((rows, 2)))]
+        with pytest.raises(FormatError, match="at most 65535") as info:
+            write_embedding_file(path, 2, "float32", entries)
+        assert f"entry {doc_id!r} " in str(info.value)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "e.bin"
@@ -268,6 +344,29 @@ class TestIngest:
             "embeddings.bin", "manifest.json"
         ]
 
+    def test_failed_manifest_write_keeps_previous_store(self, tmp_path, rng, monkeypatch):
+        # embeddings.bin is written in full before manifest.json fails: neither replaces its file
+        store = random_store(rng, 3, 8)
+        save_store(store, tmp_path / "store")
+        before = dir_bytes(tmp_path / "store")
+        monkeypatch.setattr(lateir.store, "write_json", fail_on_call(lateir.store.write_json, 1))
+        with pytest.raises(OSError, match="disk full"):
+            save_store(random_store(rng, 5, 8), tmp_path / "store")
+        assert dir_bytes(tmp_path / "store") == before
+        assert load_store(tmp_path / "store").doc_ids == store.doc_ids
+
+    @pytest.mark.parametrize("precision", ["float32", "float16"])
+    def test_loaded_matrix_read_only(self, tmp_path, rng, precision):
+        path = tmp_path / "e.bin"
+        write_embedding_file(path, 4, precision, [(f"d{i}", rng.standard_normal((3, 4)))
+                                                  for i in range(3)])
+        ingested = ingest_embeddings(path, "document")
+        save_store(ingested, tmp_path / "s")
+        for store in (ingested, load_store(tmp_path / "s")):
+            assert not store.tokens.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                store.entries["d1"][0, 0] = 0.5
+
     @staticmethod
     def _file_with(path, rng, defects, precision="float32"):
         """Documents a, b, c of 3 rows (dim 8); a defect puts nan, inf or a zero row at
@@ -333,8 +432,8 @@ class TestIngest:
         save_store(random_store(rng, 4, 8, min_tokens=3, max_tokens=5, precision=precision),
                    tmp_path / "s")
         path = tmp_path / "s" / "embeddings.bin"
-        dim, _, entries = read_embedding_file(path)
-        rows = entries[2][1].copy()
+        dim, _, entries = file_entries(path)
+        rows = entries[2][1]
         rows[1, 3 if error is FormatError else slice(None)] = value
         entries[2] = ("d2", rows)
         write_embedding_file(path, dim, precision, entries)
@@ -372,7 +471,7 @@ class TestBlockIngest:
         write_embedding_file(path, 8, precision, entries)
         store = ingest_embeddings(path, "document")
         dtype = PRECISION_DTYPES[precision]
-        expected, rounds = self.per_document(read_embedding_file(path)[2], dtype)
+        expected, rounds = self.per_document(file_entries(path)[2], dtype)
         offsets = store.offsets
         assert any(offsets[i] < block < offsets[i + 1] for i in range(len(lengths)))
         assert max(rounds.values()) >= 3  # some rows changed again in round 2
@@ -393,16 +492,18 @@ class TestBlockIngest:
 
 
 class TestCastPrecision:
+    """The one precision cast: build_exact's, from the store's precision to the index's."""
+
     def test_f32_f16_f32_error_bound(self, tmp_path, rng):
         path = tmp_path / "e.bin"
         write_embedding_file(
             path, 32, "float32", [("d", rng.standard_normal((64, 32)))]
         )
         store = ingest_embeddings(path, "document")
-        down = cast_precision(store, "float16")
-        up = cast_precision(down, "float32")
-        orig = store.entries["d"].astype(np.float64)
-        back = up.entries["d"].astype(np.float64)
+        down = build_exact(store, "float16").tokens
+        assert down.dtype == np.float16
+        orig = store.tokens.astype(np.float64)
+        back = down.astype(np.float32).astype(np.float64)
         mask = (np.abs(orig) >= 2**-14) & (np.abs(orig) <= 1.0)
         rel = np.abs(back[mask] - orig[mask]) / np.abs(orig[mask])
         assert rel.max() <= 2**-10
@@ -411,8 +512,8 @@ class TestCastPrecision:
         path = tmp_path / "e.bin"
         write_embedding_file(path, 16, "float32", [("d", rng.standard_normal((8, 16)))])
         store = ingest_embeddings(path, "document")
-        down = cast_precision(store, "float16")
-        for orig, cast in zip(store.entries["d"].ravel(), down.entries["d"].ravel()):
+        down = build_exact(store, "float16").tokens
+        for orig, cast in zip(store.tokens.ravel(), down.ravel()):
             ref = struct.unpack("<e", struct.pack("<e", float(orig)))[0]
             assert float(cast) == ref
 
@@ -420,9 +521,9 @@ class TestCastPrecision:
         path = tmp_path / "e.bin"
         write_embedding_file(path, 4, "float32", [("d", unit_rows(rng, 3, 4))])
         store = ingest_embeddings(path, "document")
-        same = cast_precision(store, "float32")
-        np.testing.assert_array_equal(store.entries["d"], same.entries["d"])
-        assert same.entries["d"].dtype == np.float32
+        same = build_exact(store, "float32").tokens
+        np.testing.assert_array_equal(store.tokens, same)
+        assert same.dtype == np.float32
 
     def test_one_survives_half_round_trip(self):
         assert np.float16(1.0) == 1.0
@@ -434,8 +535,9 @@ class TestCastPrecision:
             path, 4, "float32", [(f"d{i}", unit_rows(rng, 2, 4)) for i in (3, 1, 2)]
         )
         store = ingest_embeddings(path, "document")
-        down = cast_precision(store, "float16")
+        down = build_exact(store, "float16")
         assert down.doc_ids == store.doc_ids
+        assert down.offsets.tolist() == store.offsets.tolist()
         assert down.dim == store.dim
 
 
@@ -643,6 +745,17 @@ class TestEmbeddingStore:
         assert (len(empty), empty.total_tokens, dict(empty.entries)) == (0, 0, {})
         with pytest.raises(EmptyStore):
             build_exact(empty)
+
+    def test_from_table_copies_neither(self, rng):
+        table = TokenTable(["a", "b"], np.array([0, 3, 5], dtype=np.int64))
+        tokens = unit_rows(rng, 5, 8).astype(np.float16)
+        manifest = lateir.store.StoreManifest("c", "t", 2)
+        store = EmbeddingStore.from_table(table, tokens, "query", manifest)
+        assert store.tokens is tokens and store.offsets is table.offsets
+        assert (store.doc_ids, store.dim, store.precision, store.kind) == (["a", "b"], 8,
+                                                                            "float16", "query")
+        assert store.manifest is manifest
+        np.testing.assert_array_equal(store.entries["b"], tokens[3:5])
 
     def test_zero_row_document(self, rng):
         with pytest.raises(FormatError, match="'c' has zero tokens"):
