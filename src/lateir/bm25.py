@@ -163,7 +163,7 @@ def save_bm25(index: BM25Index, directory: str | Path) -> None:
     t = index.tokenizer
     meta = {"mode": "bm25", "scheme": t.scheme, "lowercase": t.lowercase, "k1": index.k1,
             "b": index.b, "doc_count": index.n_docs, "term_count": len(index.terms)}
-    save_index(directory, meta, {"postings.bin": (POSTINGS_MAGIC, postings)})
+    save_index(directory, meta, "postings.bin", POSTINGS_MAGIC, postings)
 
 
 def load_bm25(directory: str | Path) -> BM25Index:

@@ -292,9 +292,9 @@ def cmd_bm25_build(o: dict) -> Result:
     index = build_bm25(corpus, tokenizer, k1=o["k1"], b=o["b"])
     out = Path(o["out"])
     save_bm25(index, out)
-    _say(f"indexed {index.n_docs} documents, {len(index.postings)} terms into {out}")
+    _say(f"indexed {index.n_docs} documents, {len(index.terms)} terms into {out}")
     return out, {"tokenizer": tokenizer.scheme, "lowercase": tokenizer.lowercase,
-                 "k1": o["k1"], "b": o["b"], "docs": index.n_docs, "terms": len(index.postings)}
+                 "k1": o["k1"], "b": o["b"], "docs": index.n_docs, "terms": len(index.terms)}
 
 
 def cmd_bm25_search(o: dict) -> Result:

@@ -18,13 +18,13 @@ The inverted lists hold each document once per centroid it has a token
 on, in ascending order; ``CompressedIndex`` derives them from the centroid
 ids when it is constructed, by ``compress`` or ``load_compressed``.
 
-Index directory layout (array containers, see ``store.write_arrays``)::
+Index directory layout: one array container (see ``store.write_arrays``), so
+a build's centroids and codes are renamed into place together::
 
-    codebook.bin   magic LICB: (K, dim) float32 centroids
-    residuals.bin  magic LIRC: (dim, 3) float32 bucket cutoffs | (dim, 4)
-                   float32 bucket values | the ``store.TokenTable`` records |
-                   uint32 centroid id and ceil(dim/4) packed code bytes per
-                   token
+    residuals.bin  magic LIRC: (K, dim) float32 centroids | (dim, 3) float32
+                   bucket cutoffs | (dim, 4) float32 bucket values | the
+                   ``store.TokenTable`` records | uint32 centroid id and
+                   ceil(dim/4) packed code bytes per token
     meta.json      mode ``compressed`` (see ``store.save_index``), parameters,
                    seed, counts
 """
@@ -40,10 +40,8 @@ import numpy as np
 from .errors import BadCentroidId, DimMismatch, EmptyStore, InsufficientTokens
 from .ranking import RankedList, ranked_from_scores
 from .scoring import check_query, maxsim_per_doc
-from .store import INDEX_FORMAT_VERSION, EmbeddingStore, TokenTable, check_format, read_arrays
-from .store import read_index_meta, read_table, save_index
+from .store import EmbeddingStore, TokenTable, check_format, read_index_meta, read_table, save_index
 
-CODEBOOK_MAGIC = b"LICB"
 RESIDUAL_MAGIC = b"LIRC"
 
 DEFAULT_NPROBE = 4
@@ -299,11 +297,9 @@ def search_compressed(
 def save_compressed(index: CompressedIndex, directory: str | Path) -> None:
     meta = {**index.params, "mode": "compressed", "doc_count": index.n_docs,
             "token_count": index.total_tokens}
-    residuals = [index.codec.cutoffs, index.codec.values, *index.table_arrays(),
-                 index.centroid_ids, index.packed_codes]
-    files = {"codebook.bin": (CODEBOOK_MAGIC, [index.codebook.centroids]),
-             "residuals.bin": (RESIDUAL_MAGIC, residuals)}
-    save_index(directory, meta, files)
+    arrays = [index.codebook.centroids, index.codec.cutoffs, index.codec.values,
+              *index.table_arrays(), index.centroid_ids, index.packed_codes]
+    save_index(directory, meta, "residuals.bin", RESIDUAL_MAGIC, arrays)
 
 
 def load_compressed(directory: str | Path) -> CompressedIndex:
@@ -313,15 +309,12 @@ def load_compressed(directory: str | Path) -> CompressedIndex:
     meta = read_index_meta(directory, "compressed", keys)
     k, dim, total = (meta[key] for key in ("k_centroids", "dim", "token_count"))
 
-    path = directory / "codebook.bin"
-    (centroids,) = read_arrays(path, CODEBOOK_MAGIC, INDEX_FORMAT_VERSION, ["<f4"])
-    check_format(centroids.shape == (k, dim), path, f"shape {centroids.shape} disagrees with meta")
-
     path = directory / "residuals.bin"
-    records = ["<f4", "<f4", TokenTable, "<u4", "u1"]
-    cutoffs, values, table, centroid_ids, packed = read_table(path, RESIDUAL_MAGIC, records, meta)
-    shapes = (cutoffs.shape, values.shape, centroid_ids.shape, packed.shape)
-    want = ((dim, 3), (dim, 4), (total,), (total, (dim + 3) // 4))
+    records = ["<f4", "<f4", "<f4", TokenTable, "<u4", "u1"]
+    centroids, cutoffs, values, table, centroid_ids, packed = read_table(
+        path, RESIDUAL_MAGIC, records, meta)
+    shapes = (centroids.shape, cutoffs.shape, values.shape, centroid_ids.shape, packed.shape)
+    want = ((k, dim), (dim, 3), (dim, 4), (total,), (total, (dim + 3) // 4))
     check_format(shapes == want, path, f"shapes {shapes} disagree with meta.json {want}")
     if total and int(centroid_ids.max()) >= k:
         raise BadCentroidId(f"{path}: centroid id {int(centroid_ids.max())} not in [0, {k})")

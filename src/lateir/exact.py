@@ -67,7 +67,7 @@ def save_exact(index: ExactIndex, directory: str | Path) -> None:
         "token_count": index.total_tokens,
     }
     arrays = [*index.table_arrays(), index.tokens]
-    save_index(directory, meta, {"tokens.bin": (EXACT_MAGIC, arrays)})
+    save_index(directory, meta, "tokens.bin", EXACT_MAGIC, arrays)
 
 
 def load_exact(directory: str | Path) -> ExactIndex:

@@ -293,7 +293,8 @@ def write_nway_jsonl(path: str | Path, examples: Iterable[NWayExample]) -> int:
 
 
 def read_nway_jsonl(path: str | Path) -> list[NWayExample]:
-    """N-way examples; ParseError for a missing or mistyped qid, passages or scores."""
+    """N-way examples, as a trainer that consumes n-way files reads them back (the
+    engine itself never does); ParseError for a missing or mistyped qid, passages or scores."""
     out: list[NWayExample] = []
     for lineno, obj in read_jsonl(path):
         try:

@@ -50,6 +50,10 @@ def ranked_from_scores(
 
 
 def write_trec_run(path: str | Path, runs: Iterable[RankedList], tag: str = "lateir") -> None:
+    """Write runs in TREC format; ValueError, before any file is opened, for an empty
+    tag or one holding whitespace, which would not read back as one field."""
+    if tag.split() != [tag]:
+        raise ValueError(f"run tag {tag!r} is empty or contains whitespace")
     with _replacing(path, text=True) as fh:
         for run in runs:
             for rank, (doc_id, score) in enumerate(run.entries, start=1):

@@ -23,16 +23,18 @@ loaded), its table, and a read-only ``entries`` view (id -> rows); ingestion
 normalizes the matrix in blocks of ``_ROW_BLOCK`` rows, and both it and
 ``load_store`` reject zero-norm rows and NaN or infinite values.
 
-An index directory holds array containers plus ``meta.json``, which records
-its ``mode`` and ``format_version`` (``save_index`` / ``read_index_meta``);
-a BM25 index is one container, ``postings.bin`` (see ``bm25``).
-Every index file is an array container: magic (4 bytes) | u32 format
-version | u32 array count, then one ``.npy`` record per array.
+An index directory holds exactly one array container (``tokens.bin``,
+``residuals.bin`` or ``postings.bin``) plus ``meta.json``, which records its
+``mode`` and ``format_version`` (``save_index`` / ``read_index_meta``).
+An array container is: magic (4 bytes) | u32 format version | u32 array
+count, then one ``.npy`` record per array.
 Strings are stored as a UTF-8 blob (uint8) plus int64 byte offsets, and a
 record's strings must be distinct.
 Stores, containers, JSON metadata and text outputs are written to a temporary
 sibling, then renamed; a store or index directory renames its files only once
-all are written, its metadata last (``_replacing_files``).  ``read_json``
+all are written, its metadata last (``_replacing_files``), so a crash between
+the two renames can pair a whole new file only with the previous metadata,
+whose counts the loader checks.  ``read_json``
 checks each metadata key's JSON type.
 
 Every line-oriented text file (runs, qrels, pairs, teacher scores, corpus,
@@ -64,7 +66,7 @@ from .errors import DuplicateDocId, FormatError, LengthError, ParseError, ZeroVe
 
 EMBEDDING_MAGIC = b"LIEM"
 EMBEDDING_FORMAT_VERSION = 1
-INDEX_FORMAT_VERSION = 4
+INDEX_FORMAT_VERSION = 5
 _HEADER = struct.Struct("<4sIIBQ")
 _ARRAYS_HEADER = struct.Struct("<4sII")
 
@@ -124,33 +126,33 @@ def write_embedding_file(
     _replacing); returns the entry count."""
     if precision not in PRECISION_DTYPES:
         raise ValueError(f"unknown precision {precision!r}")
-    dtype = PRECISION_DTYPES[precision]
-    entries = list(entries)
-    with _replacing(path) as fh:
-        fh.write(
-            _HEADER.pack(
-                EMBEDDING_MAGIC,
-                EMBEDDING_FORMAT_VERSION,
-                dim,
-                _PRECISION_CODES[precision],
-                len(entries),
-            )
-        )
-        for doc_id, matrix in entries:
-            matrix = np.asarray(matrix)
-            if matrix.ndim != 2 or matrix.shape[1] != dim:
-                raise FormatError(
-                    f"entry {doc_id!r} has shape {matrix.shape}, expected (*, {dim})"
-                )
+    dtype, rows = PRECISION_DTYPES[precision], []
+    for doc_id, matrix in entries:
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2 or matrix.shape[1] != dim:
+            raise FormatError(f"entry {doc_id!r} has shape {matrix.shape}, expected (*, {dim})")
+        rows.append((doc_id, len(matrix), np.ascontiguousarray(matrix, dtype)))
+    _write_entries(path, dim, precision, rows)
+    return len(rows)
+
+
+def _write_entries(path: str | Path, dim: int, precision: str, entries: Sequence[tuple]):
+    """Write an embedding file of (id, row count, the rows' bytes in precision) entries,
+    one header bytes object and one buffer per entry, through _replacing."""
+
+    def pieces():
+        for doc_id, count, rows in entries:
             id_bytes = doc_id.encode("utf-8")
-            if max(len(id_bytes), len(matrix)) > 0xFFFF:
+            if max(len(id_bytes), count) > 0xFFFF:
                 raise FormatError(f"entry {doc_id!r} has an id of {len(id_bytes)} UTF-8 bytes "
-                                  f"and {len(matrix)} rows; each may be at most 65535")
-            fh.write(struct.pack("<H", len(id_bytes)))
-            fh.write(id_bytes)
-            fh.write(struct.pack("<H", matrix.shape[0]))
-            fh.write(np.ascontiguousarray(matrix, dtype=dtype).tobytes())
-    return len(entries)
+                                  f"and {count} rows; each may be at most 65535")
+            yield struct.pack("<H", len(id_bytes)) + id_bytes + struct.pack("<H", count)
+            yield rows
+
+    with _replacing(path) as fh:
+        code = _PRECISION_CODES[precision]
+        fh.write(_HEADER.pack(EMBEDDING_MAGIC, EMBEDDING_FORMAT_VERSION, dim, code, len(entries)))
+        fh.writelines(pieces())
 
 
 def read_embedding_file(path: str | Path) -> tuple[TokenTable, np.ndarray]:
@@ -247,12 +249,11 @@ def _check_keys(obj: dict, path: str | Path, keys: Mapping[str, type | tuple[typ
         check_format(ok, path, f"key {key!r} missing or not of type {name}")
 
 
-def save_index(directory: str | Path, meta: dict, files: Mapping[str, tuple[bytes, Sequence]]):
-    """Write array containers {name: (magic, arrays)}, then meta.json plus format_version,
-    replacing the directory's files only once all are written (see _replacing_files)."""
-    with _replacing_files(directory, [*files, "meta.json"]) as tmp:
-        for name, (magic, arrays) in files.items():
-            write_arrays(tmp[name], magic, INDEX_FORMAT_VERSION, arrays)
+def save_index(directory: str | Path, meta: dict, name: str, magic: bytes, arrays: Sequence):
+    """Write the index's one array container, then meta.json plus format_version,
+    replacing the directory's files only once both are written (see _replacing_files)."""
+    with _replacing_files(directory, [name, "meta.json"]) as tmp:
+        write_arrays(tmp[name], magic, INDEX_FORMAT_VERSION, arrays)
         write_json(tmp["meta.json"], {**meta, "format_version": INDEX_FORMAT_VERSION})
 
 
@@ -581,9 +582,13 @@ def save_store(store: EmbeddingStore, directory: str | Path) -> None:
         "precision": store.precision,
         "kind": store.kind,
     }
+    tokens = np.ascontiguousarray(store.tokens, PRECISION_DTYPES[store.precision])
+    view, row_bytes = memoryview(tokens.reshape(-1).view(np.uint8)), store.dim * tokens.itemsize
+    bounds = store.offsets.tolist()
+    entries = [(doc_id, hi - lo, view[lo * row_bytes : hi * row_bytes])
+               for doc_id, lo, hi in zip(store.doc_ids, bounds, bounds[1:])]
     with _replacing_files(directory, ["embeddings.bin", "manifest.json"]) as tmp:
-        entries = store.entries.items()
-        write_embedding_file(tmp["embeddings.bin"], store.dim, store.precision, entries)
+        _write_entries(tmp["embeddings.bin"], store.dim, store.precision, entries)
         write_json(tmp["manifest.json"], manifest)
 
 

@@ -11,7 +11,7 @@ from lateir.cli import COMMANDS, main, run_pipeline
 from lateir.errors import ConfigError
 from lateir.ranking import read_trec_run
 import lateir.store
-from lateir.store import write_embedding_file
+from lateir.store import INDEX_FORMAT_VERSION, write_embedding_file
 
 from conftest import dir_bytes, fail_on_call, file_entries, perturb_rows, unit_rows
 
@@ -241,13 +241,32 @@ class TestSearchPipeline:
         run_ok(build + ["--seed", "1"])
         run_ok(search)
         before, ranked = dir_bytes(index), run.read_bytes()
-        monkeypatch.setattr(lateir.store, "write_arrays",
-                            fail_on_call(lateir.store.write_arrays, 2))
+        # residuals.bin is written before meta.json fails
+        monkeypatch.setattr(lateir.store, "write_json", fail_on_call(lateir.store.write_json, 1))
         assert main(build + ["--seed", "2"]) == 2
         assert "disk full" in capsys.readouterr().err
         assert dir_bytes(index) == before
         run_ok(search)
         assert run.read_bytes() == ranked
+
+
+@pytest.mark.parametrize("tag", ["", "my run", "a\tb"])
+def test_run_tag_not_one_field_rejected(workspace, capsys, tag):
+    # a tag with whitespace would write a 7-field line that read_trec_run rejects
+    _ingest_both(workspace)
+    run_ok(["index", "--store", str(workspace / "docstore"), "--out", str(workspace / "idx"),
+            "--mode", "exact"])
+    run_ok(["bm25", "build", "--corpus", str(workspace / "corpus.jsonl"),
+            "--out", str(workspace / "bm25-idx")])
+    before = sorted(workspace.iterdir())
+    for argv in (
+        ["search", "--index", str(workspace / "idx"), "--queries", str(workspace / "qstore")],
+        ["bm25", "search", "--index", str(workspace / "bm25-idx"),
+         "--queries", str(workspace / "queries.jsonl")],
+    ):
+        assert main([*argv, "--out", str(workspace / "run.trec"), "--run-tag", tag]) == 2, argv
+        assert "run tag" in capsys.readouterr().err
+        assert sorted(workspace.iterdir()) == before  # no run, manifest or temporary file
 
 
 class TestStoreKind:
@@ -737,4 +756,5 @@ class TestCliContract:
         assert info.value.code == 0
         out = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal width
         assert "lateir" in out
-        assert "index=4" in out and "bm25=" not in out and "array container" in out
+        assert f"index={INDEX_FORMAT_VERSION}" in out
+        assert "bm25=" not in out and "array container" in out

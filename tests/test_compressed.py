@@ -1,6 +1,7 @@
 """Compressed index: k-means, residual codec, inverted lists, staged search."""
 
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -372,25 +373,42 @@ class TestPersistence:
         for name in ("one", "two"):
             codebook = train_codebook(store, k=8, iterations=3, seed=5)
             save_compressed(compress(store, codebook), tmp_path / name)
-        for filename in ("codebook.bin", "residuals.bin", "meta.json"):
+        assert sorted(p.name for p in (tmp_path / "one").iterdir()) == ["meta.json",
+                                                                        "residuals.bin"]
+        for filename in ("residuals.bin", "meta.json"):
             assert (tmp_path / "one" / filename).read_bytes() == (
                 tmp_path / "two" / filename
             ).read_bytes(), filename
 
     def test_failed_save_keeps_previous_index(self, tmp_path, rng, monkeypatch):
-        # codebook.bin is written before residuals.bin fails: no file of the old index changes
+        # residuals.bin is written before meta.json fails: no file of the old index changes
         store = random_store(rng, 30, 12, min_tokens=2, max_tokens=9)
         save_compressed(compress(store, train_codebook(store, k=8, seed=0)), tmp_path / "idx")
         before = dir_bytes(tmp_path / "idx")
         q = unit_rows(rng, 3, 12)
         run = search_compressed(load_compressed(tmp_path / "idx"), q, k=10).entries
         newer = compress(store, train_codebook(store, k=8, seed=1))
-        monkeypatch.setattr(lateir.store, "write_arrays",
-                            fail_on_call(lateir.store.write_arrays, 2))
+        monkeypatch.setattr(lateir.store, "write_json", fail_on_call(lateir.store.write_json, 1))
         with pytest.raises(OSError, match="disk full"):
             save_compressed(newer, tmp_path / "idx")
         assert dir_bytes(tmp_path / "idx") == before  # and no .tmp file is left
         assert search_compressed(load_compressed(tmp_path / "idx"), q, k=10).entries == run
+
+    def test_container_of_another_build_ranks_as_that_build(self, tmp_path, rng):
+        # a crash between the renames can leave a newer residuals.bin beside an older
+        # meta.json; the centroids travel with the codes, so search is the newer build's
+        store = random_store(rng, 40, 12, min_tokens=2, max_tokens=9)
+        for name, seed in (("one", 42), ("two", 7)):
+            codebook = train_codebook(store, k=16, seed=seed)
+            save_compressed(compress(store, codebook), tmp_path / name)
+        one, two = load_compressed(tmp_path / "one"), load_compressed(tmp_path / "two")
+        shutil.copyfile(tmp_path / "two" / "residuals.bin", tmp_path / "one" / "residuals.bin")
+        mixed = load_compressed(tmp_path / "one")
+        queries = [unit_rows(rng, 3, 12) for _ in range(20)]
+        runs = {name: [search_compressed(index, q, k=10).entries for q in queries]
+                for name, index in (("one", one), ("two", two), ("mixed", mixed))}
+        assert runs["one"] != runs["two"]
+        assert runs["mixed"] == runs["two"]
 
     def test_doc_table_records_match_exact_index(self, tmp_path, rng):
         store = random_store(rng, 30, 12, min_tokens=2, max_tokens=9)
@@ -399,7 +417,7 @@ class TestPersistence:
         _, _, exact = read_container(tmp_path / "exact" / "tokens.bin")
         _, _, comp = read_container(tmp_path / "comp" / "residuals.bin")
         # doc id blob, doc id offsets, token offsets
-        for a, b in zip(exact[0:3], comp[2:5], strict=True):
+        for a, b in zip(exact[0:3], comp[3:6], strict=True):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
@@ -414,31 +432,33 @@ class TestLoadChecks:
         return tmp_path / "idx"
 
     def test_centroid_id_out_of_range(self, saved):
-        edit_container(saved / "residuals.bin", 5, set_item(3, 10**6))
+        edit_container(saved / "residuals.bin", 6, set_item(3, 10**6))
         with pytest.raises(BadCentroidId):
             load_compressed(saved)
 
-    # residuals.bin arrays: 0 cutoffs, 1 values, 2-3 doc ids, 4 token offsets,
-    # 5 centroid ids, 6 packed codes
+    # residuals.bin arrays: 0 centroids, 1 cutoffs, 2 values, 3-4 doc ids,
+    # 5 token offsets, 6 centroid ids, 7 packed codes
     @pytest.mark.parametrize(
         "index, edit",
         [
-            (0, lambda a: a[:, :2]),
-            (1, lambda a: a[:-1]),
-            (6, lambda a: a[:, :-1]),
+            (0, lambda a: a[:-1]),
+            (0, lambda a: a[:, :-1]),
+            (1, lambda a: a[:, :2]),
+            (2, lambda a: a[:-1]),
+            (7, lambda a: a[:, :-1]),
+            (7, lambda a: a[:-1]),
             (6, lambda a: a[:-1]),
-            (5, lambda a: a[:-1]),
-            (3, lambda a: a[:-1]),
             (4, lambda a: a[:-1]),
-            (4, lambda a: a + 1),
-            (4, set_item(-1, 10**6)),
-            (4, set_item(2, 1)),
-            (4, set_item(1, 0)),
+            (5, lambda a: a[:-1]),
+            (5, lambda a: a + 1),
+            (5, set_item(-1, 10**6)),
+            (5, set_item(2, 1)),
+            (5, set_item(1, 0)),
         ],
         ids=[
-            "cutoffs", "values", "code-width", "code-rows", "centroid-ids", "doc-ids",
-            "offset-count", "offsets-from-1", "offsets-past-end", "offsets-decrease",
-            "empty-doc",
+            "centroid-count", "centroid-dim", "cutoffs", "values", "code-width", "code-rows",
+            "centroid-ids", "doc-ids", "offset-count", "offsets-from-1", "offsets-past-end",
+            "offsets-decrease", "empty-doc",
         ],
     )
     def test_arrays_checked(self, saved, index, edit):
@@ -454,7 +474,7 @@ class TestLoadChecks:
         with pytest.raises(FormatError):
             load_compressed(saved)
 
-    @pytest.mark.parametrize("name", ["codebook.bin", "residuals.bin"])
+    @pytest.mark.parametrize("name", ["residuals.bin"])
     def test_version_one_file_rejected(self, saved, name):
         data = bytearray((saved / name).read_bytes())
         data[4:8] = struct.pack("<I", 1)

@@ -26,7 +26,6 @@ LOADERS = {
 }
 FILES = [
     ("exact", "tokens.bin"),
-    ("compressed", "codebook.bin"),
     ("compressed", "residuals.bin"),
     ("bm25", "postings.bin"),
     ("store", "embeddings.bin"),
@@ -202,7 +201,7 @@ def test_loader_rejects_other_index_kind(indexes, kind, other):
     assert repr(kind) in message and repr(other) in message
 
 
-@pytest.mark.parametrize("kind", ["compressed", "bm25"])
+@pytest.mark.parametrize("kind", INDEX_KINDS)
 def test_old_format_version_asks_for_rebuild(indexes, tmp_path, kind):
     meta = json.loads((indexes / kind / "meta.json").read_bytes())
     variant = json.dumps({**meta, "format_version": INDEX_FORMAT_VERSION - 1}).encode("utf-8")
@@ -224,7 +223,7 @@ def test_exact_index_before_format_3_asks_for_rebuild(indexes, tmp_path, capsys)
 # each string record: index kind, file, position of its blob (its offsets follow)
 STRING_RECORDS = {
     "exact-ids": ("exact", "tokens.bin", 0),
-    "compressed-ids": ("compressed", "residuals.bin", 2),
+    "compressed-ids": ("compressed", "residuals.bin", 3),
     "bm25-ids": ("bm25", "postings.bin", 5),
     "bm25-terms": ("bm25", "postings.bin", 0),
 }

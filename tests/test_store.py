@@ -1,7 +1,10 @@
 """Embedding store: normalization, binary format, precision casts."""
 
 import json
+import re
 import struct
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from lateir.errors import (
 )
 from lateir.store import (
     EMBEDDING_MAGIC,
+    INDEX_FORMAT_VERSION,
     PRECISION_DTYPES,
     EmbeddingStore,
     TokenTable,
@@ -320,23 +324,26 @@ class TestIngest:
         for doc_id in store.entries:
             np.testing.assert_array_equal(store.entries[doc_id], back.entries[doc_id])
 
+    @pytest.mark.parametrize("n_docs", [0, 5])
+    @pytest.mark.parametrize("precision", ["float32", "float16"])
+    def test_saved_file_is_the_written_entries(self, tmp_path, rng, precision, n_docs):
+        # save_store writes the store's matrix, not its entries: the same bytes
+        store = random_store(rng, n_docs, 6, precision=precision, id_prefix="東京")
+        save_store(store, tmp_path / "store")
+        write_embedding_file(tmp_path / "e.bin", store.dim, precision, store.entries.items())
+        assert (tmp_path / "store" / "embeddings.bin").read_bytes() == (
+            tmp_path / "e.bin").read_bytes()
+
     def test_failed_save_keeps_previous_store(self, tmp_path, rng, monkeypatch):
         store = random_store(rng, 3, 8)
         save_store(store, tmp_path / "store")
-        real = np.ascontiguousarray
-        written = []
-
-        def fail_on_second_entry(matrix, dtype=None):
-            written.append(matrix)
-            if len(written) == 2:
-                raise OSError("disk full")
-            return real(matrix, dtype=dtype)
-
+        # each entry header packs two u16 fields: the third call is the second entry's,
+        # after the first entry was written
+        failing = SimpleNamespace(pack=fail_on_call(struct.pack, 3))
         with monkeypatch.context() as patch:
-            patch.setattr(lateir.store.np, "ascontiguousarray", fail_on_second_entry)
-            with pytest.raises(OSError):
+            patch.setattr(lateir.store, "struct", failing)
+            with pytest.raises(OSError, match="disk full"):
                 save_store(random_store(rng, 3, 8), tmp_path / "store")
-        assert len(written) == 2  # the first entry was written before the second failed
         back = load_store(tmp_path / "store")
         assert back.doc_ids == store.doc_ids
         np.testing.assert_array_equal(back.tokens, store.tokens)
@@ -667,6 +674,12 @@ class TestTextLines:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
 
+    @pytest.mark.parametrize("tag", ["", "my run", "a\tb", "tag\n"])
+    def test_trec_run_tag_must_be_one_field(self, tmp_path, tag):
+        with pytest.raises(ValueError, match="run tag"):
+            write_trec_run(tmp_path / "run", [RankedList("q1", [("d1", 0.5)])], tag=tag)
+        assert not list(tmp_path.iterdir())
+
     def test_writers(self, tmp_path):
         assert write_jsonl(tmp_path / "x.jsonl", [{"id": "東京", "n": [1.5]}, {}]) == 2
         written = (tmp_path / "x.jsonl").read_text(encoding="utf-8")
@@ -877,3 +890,11 @@ class TestArrayContainer:
         blob, _ = pack_strings(["ab", "東"])  # 2 + 3 bytes; splitting inside 東 is bad UTF-8
         with pytest.raises(FormatError):
             unpack_strings(blob, np.array(offsets, dtype=np.int64), "x")
+
+
+def test_readme_states_the_index_format_version():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"`format_version` \(?(\d+)", readme)
+    assert len(stated) >= 4 and set(stated) == {str(INDEX_FORMAT_VERSION)}, stated
+    earlier = re.findall(r"earlier format\s+version \(1–(\d+)\)", readme)
+    assert earlier == [str(INDEX_FORMAT_VERSION - 1)]
