@@ -11,11 +11,11 @@ Japanese as well as space-delimited text.  Scoring uses
 with k1 = 0.9 and b = 0.4 by default.  The +1 inside the log keeps idf
 non-negative.  Repeated query tokens contribute once per occurrence.
 
-Index directory layout: ``postings.bin`` (array container, magic LIBP:
-sorted terms, int64 posting offsets, doc indexes ascending within each term,
-term frequencies >= 1, then the doc ids) and ``meta.json`` (mode ``bm25``,
-see ``store.save_index``; tokenizer scheme, parameters, counts).  Document
-lengths and avgdl are derived from the postings, never stored.
+Index directory layout: ``postings.bin``, an array container (magic LIBP, see
+``store.save_index``) of the parameters (tokenizer ``scheme`` and
+``lowercase``, ``k1``, ``b``), the sorted terms, int64 posting offsets, doc
+indexes ascending within each term, term frequencies >= 1, then the doc ids.
+Document lengths and avgdl are derived from the postings, never stored.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ import numpy as np
 
 from .errors import ConfigError, DuplicateDocId
 from .ranking import RankedList, ranked_from_scores
-from .store import INDEX_FORMAT_VERSION, CorpusRecord, check_format, check_offsets
-from .store import pack_strings, read_arrays, read_index_meta, save_index, unpack_strings
-
-POSTINGS_MAGIC = b"LIBP"
+from .store import CorpusRecord, check_format, check_offsets, pack_strings, read_index
+from .store import save_index, unpack_strings
 
 SCHEMES = ("char_bigram", "char_unigram", "whitespace")
 
@@ -161,28 +159,21 @@ def save_bm25(index: BM25Index, directory: str | Path) -> None:
     postings = [*pack_strings(index.terms), index.bounds, index.docs, index.tfs,
                 *pack_strings(index.doc_ids)]
     t = index.tokenizer
-    meta = {"mode": "bm25", "scheme": t.scheme, "lowercase": t.lowercase, "k1": index.k1,
-            "b": index.b, "doc_count": index.n_docs, "term_count": len(index.terms)}
-    save_index(directory, meta, "postings.bin", POSTINGS_MAGIC, postings)
+    params = {"scheme": t.scheme, "lowercase": t.lowercase, "k1": index.k1, "b": index.b}
+    save_index(directory, "bm25", params, postings)
 
 
 def load_bm25(directory: str | Path) -> BM25Index:
-    directory = Path(directory)
-    keys = {"scheme": str, "lowercase": bool, "doc_count": int, "term_count": int,
-            "k1": (int, float), "b": (int, float)}
-    meta = read_index_meta(directory, "bm25", keys)
-    check_format(meta["scheme"] in SCHEMES, directory, f"unknown tokenizer {meta['scheme']!r}")
-    n_docs, n_terms = meta["doc_count"], meta["term_count"]
-
-    path = directory / "postings.bin"
-    term_blob, term_offsets, bounds, docs, tfs, id_blob, id_offsets = read_arrays(
-        path, POSTINGS_MAGIC, INDEX_FORMAT_VERSION, ["u1", "<i8", "<i8", "<i8", "<i8", "u1", "<i8"]
-    )
+    keys = {"scheme": str, "lowercase": bool, "k1": (int, float), "b": (int, float)}
+    dtypes = ["u1", "<i8", "<i8", "<i8", "<i8", "u1", "<i8"]
+    path, params, (term_blob, term_offsets, bounds, docs, tfs, id_blob, id_offsets) = read_index(
+        directory, "bm25", keys, dtypes)
+    check_format(params["scheme"] in SCHEMES, path, f"unknown tokenizer {params['scheme']!r}")
     terms = unpack_strings(term_blob, term_offsets, path)
     doc_ids = unpack_strings(id_blob, id_offsets, path)
-    shapes = (len(terms), len(doc_ids), bounds.shape, docs.shape, tfs.shape)
-    want = (n_terms, n_docs, (n_terms + 1,), (docs.size,), (docs.size,))
-    check_format(shapes == want, path, f"shapes {shapes} disagree with meta.json {want}")
+    n_docs, shapes = len(doc_ids), (bounds.shape, docs.shape, tfs.shape)
+    want = ((len(terms) + 1,), (docs.size,), (docs.size,))
+    check_format(shapes == want, path, f"shapes {shapes} disagree with {len(terms)} terms {want}")
     check_offsets(bounds, docs.size, path, "posting offsets", min_step=1)
     in_range = docs.size == 0 or (docs.min() >= 0 and docs.max() < n_docs)
     check_format(bool(in_range), path, f"posting doc index outside [0, {n_docs})")
@@ -190,5 +181,5 @@ def load_bm25(directory: str | Path) -> BM25Index:
     rising = docs[1:] > docs[:-1]
     rising[bounds[1:-1] - 1] = True  # each list's first doc index may be any
     check_format(bool(rising.all()), path, "doc indexes not strictly ascending in a posting list")
-    return BM25Index(Tokenizer(meta["scheme"], meta["lowercase"]), float(meta["k1"]),
-                     float(meta["b"]), doc_ids, terms, bounds, docs, tfs)
+    return BM25Index(Tokenizer(params["scheme"], params["lowercase"]), float(params["k1"]),
+                     float(params["b"]), doc_ids, terms, bounds, docs, tfs)

@@ -234,7 +234,6 @@ def cmd_index(o: dict) -> Result:
                 k //= 2
         codebook = train_codebook(store, k, iterations=o["iterations"], seed=o["seed"])
         index = compress(store, codebook)
-        index.params["iterations"] = o["iterations"]
         save_compressed(index, out)
         params = {
             "mode": "compressed",
@@ -259,11 +258,11 @@ def cmd_search(o: dict) -> Result:
     else:
         index, search = load_compressed(index_dir), search_compressed
         options = {"nprobe": o["nprobe"], "candidate_cap": o["candidate_cap"]}
-    runs = [search(index, matrix, o["k"], query_id=qid, **options)
-            for qid, matrix in queries.entries.items()]
+    runs = (search(index, matrix, o["k"], query_id=qid, **options)
+            for qid, matrix in queries.entries.items())
     out = Path(o["out"])
     write_trec_run(out, runs, tag=o["run_tag"])
-    _say(f"searched {len(runs)} queries ({mode}) into {out}")
+    _say(f"searched {len(queries)} queries ({mode}) into {out}")
     return out, {"mode": mode, "k": o["k"], "nprobe": o["nprobe"],
                  "candidate_cap": o["candidate_cap"], "run_tag": o["run_tag"]}
 
@@ -300,12 +299,10 @@ def cmd_bm25_build(o: dict) -> Result:
 def cmd_bm25_search(o: dict) -> Result:
     index = load_bm25(o["index"])
     queries = read_corpus_jsonl(o["queries"])
-    runs = [
-        search_bm25(index, q.text, index.tokenizer, o["k"], query_id=q.id) for q in queries
-    ]
+    runs = (search_bm25(index, q.text, index.tokenizer, o["k"], query_id=q.id) for q in queries)
     out = Path(o["out"])
     write_trec_run(out, runs, tag=o["run_tag"])
-    _say(f"searched {len(runs)} queries into {out}")
+    _say(f"searched {len(queries)} queries into {out}")
     return out, {"k": o["k"], "run_tag": o["run_tag"]}
 
 
@@ -571,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     version = f"lateir {__version__} (formats: " + ", ".join(
         f"{k}={v}" for k, v in FORMAT_VERSIONS.items()
-    ) + "; indexes: array container)"
+    ) + "; indexes: one array container, parameters in record 0)"
     parser.add_argument("--version", action="version", version=version)
     subparsers = parser.add_subparsers(dest="command", required=True)
 

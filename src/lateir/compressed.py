@@ -18,15 +18,14 @@ The inverted lists hold each document once per centroid it has a token
 on, in ascending order; ``CompressedIndex`` derives them from the centroid
 ids when it is constructed, by ``compress`` or ``load_compressed``.
 
-Index directory layout: one array container (see ``store.write_arrays``), so
-a build's centroids and codes are renamed into place together::
+Index directory layout: one array container (see ``store.save_index``), so
+a build's parameters, centroids and codes are renamed into place together::
 
-    residuals.bin  magic LIRC: (K, dim) float32 centroids | (dim, 3) float32
-                   bucket cutoffs | (dim, 4) float32 bucket values | the
-                   ``store.TokenTable`` records | uint32 centroid id and
-                   ceil(dim/4) packed code bytes per token
-    meta.json      mode ``compressed`` (see ``store.save_index``), parameters,
-                   seed, counts
+    residuals.bin  magic LIRC: the parameters (``seed``, ``nbits``,
+                   ``bucket_sample_limit``) | (K, dim) float32 centroids |
+                   (dim, 3) float32 bucket cutoffs | (dim, 4) float32 bucket
+                   values | the ``store.TokenTable`` records | uint32 centroid
+                   id and ceil(dim/4) packed code bytes per token
 """
 
 from __future__ import annotations
@@ -40,9 +39,7 @@ import numpy as np
 from .errors import BadCentroidId, DimMismatch, EmptyStore, InsufficientTokens
 from .ranking import RankedList, ranked_from_scores
 from .scoring import check_query, maxsim_per_doc
-from .store import EmbeddingStore, TokenTable, check_format, read_index_meta, read_table, save_index
-
-RESIDUAL_MAGIC = b"LIRC"
+from .store import EmbeddingStore, TokenTable, check_format, read_table, save_index
 
 DEFAULT_NPROBE = 4
 DEFAULT_CANDIDATE_CAP = 8192
@@ -229,13 +226,7 @@ def compress(store: EmbeddingStore, codebook: Codebook) -> CompressedIndex:
         codec=codec,
         centroid_ids=assign.astype(np.uint32),
         packed_codes=packed,
-        params={
-            "k_centroids": codebook.k,
-            "dim": codebook.dim,
-            "seed": codebook.seed,
-            "nbits": 2,
-            "bucket_sample_limit": BUCKET_SAMPLE_LIMIT,
-        },
+        params={"seed": codebook.seed, "nbits": 2, "bucket_sample_limit": BUCKET_SAMPLE_LIMIT},
     )
 
 
@@ -295,35 +286,33 @@ def search_compressed(
 
 
 def save_compressed(index: CompressedIndex, directory: str | Path) -> None:
-    meta = {**index.params, "mode": "compressed", "doc_count": index.n_docs,
-            "token_count": index.total_tokens}
     arrays = [index.codebook.centroids, index.codec.cutoffs, index.codec.values,
               *index.table_arrays(), index.centroid_ids, index.packed_codes]
-    save_index(directory, meta, "residuals.bin", RESIDUAL_MAGIC, arrays)
+    save_index(directory, "compressed", index.params, arrays)
 
 
 def load_compressed(directory: str | Path) -> CompressedIndex:
-    """Load an index, checking every array against meta.json before search uses it."""
-    directory = Path(directory)
-    keys = {"k_centroids": int, "dim": int, "doc_count": int, "token_count": int, "seed": int}
-    meta = read_index_meta(directory, "compressed", keys)
-    k, dim, total = (meta[key] for key in ("k_centroids", "dim", "token_count"))
-
-    path = directory / "residuals.bin"
+    """Load an index, checking its records against each other before search uses it:
+    the (K, dim) centroids fix the other shapes, the token offsets the row counts."""
+    keys = {"seed": int, "nbits": int, "bucket_sample_limit": int}
     records = ["<f4", "<f4", "<f4", TokenTable, "<u4", "u1"]
-    centroids, cutoffs, values, table, centroid_ids, packed = read_table(
-        path, RESIDUAL_MAGIC, records, meta)
-    shapes = (centroids.shape, cutoffs.shape, values.shape, centroid_ids.shape, packed.shape)
-    want = ((k, dim), (dim, 3), (dim, 4), (total,), (total, (dim + 3) // 4))
-    check_format(shapes == want, path, f"shapes {shapes} disagree with meta.json {want}")
+    path, params, (centroids, cutoffs, values, table, centroid_ids, packed) = read_table(
+        directory, "compressed", keys, records)
+    check_format(params["nbits"] == 2, path, f"nbits {params['nbits']}, expected 2")
+    check_format(centroids.ndim == 2, path, f"centroids of shape {centroids.shape}")
+    (k, dim), total = centroids.shape, table.total_tokens
+    shapes = (cutoffs.shape, values.shape, centroid_ids.shape, packed.shape)
+    want = ((dim, 3), (dim, 4), (total,), (total, (dim + 3) // 4))
+    check_format(shapes == want, path, f"shapes {shapes} disagree with {k} x {dim} centroids "
+                                       f"and {total} tokens {want}")
     if total and int(centroid_ids.max()) >= k:
         raise BadCentroidId(f"{path}: centroid id {int(centroid_ids.max())} not in [0, {k})")
 
     return CompressedIndex(
         **vars(table),
-        codebook=Codebook(centroids=centroids, seed=int(meta["seed"])),
+        codebook=Codebook(centroids=centroids, seed=params["seed"]),
         codec=ResidualCodec(cutoffs=cutoffs, values=values),
         centroid_ids=centroid_ids,
         packed_codes=packed,
-        params={key: meta[key] for key in meta if key not in ("doc_count", "token_count", "mode")},
+        params=params,
     )

@@ -5,9 +5,9 @@ float16) indexed by a ``store.TokenTable``.  A search scores every document:
 similarities are computed in float64 regardless of storage precision, so
 16-bit storage only affects the vectors, never the arithmetic.
 
-Index directory layout: ``meta.json`` (mode ``exact``, see ``store.save_index``)
-and ``tokens.bin``, an array container (magic LIEX) of the token table's
-records and the token rows.
+Index directory layout: ``tokens.bin``, an array container (magic LIEX, see
+``store.save_index``) of the parameters ``{}``, the token table's records and
+the token rows, whose dtype (float16 or float32) is the index's precision.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ import numpy as np
 from .errors import EmptyStore
 from .ranking import RankedList, ranked_from_scores
 from .scoring import check_query, maxsim_per_doc
-from .store import PRECISION_DTYPES, EmbeddingStore, TokenTable, check_format, read_index_meta
-from .store import read_table, save_index
-
-EXACT_MAGIC = b"LIEX"
+from .store import PRECISION_DTYPES, EmbeddingStore, TokenTable, check_format, read_table
+from .store import save_index
 
 
 @dataclass
@@ -59,24 +57,13 @@ def search_exact(
 
 
 def save_exact(index: ExactIndex, directory: str | Path) -> None:
-    meta = {
-        "mode": "exact",
-        "dim": index.dim,
-        "precision": index.precision,
-        "doc_count": index.n_docs,
-        "token_count": index.total_tokens,
-    }
-    arrays = [*index.table_arrays(), index.tokens]
-    save_index(directory, meta, "tokens.bin", EXACT_MAGIC, arrays)
+    save_index(directory, "exact", {}, [*index.table_arrays(), index.tokens])
 
 
 def load_exact(directory: str | Path) -> ExactIndex:
-    directory = Path(directory)
-    keys = {"precision": str, "doc_count": int, "token_count": int, "dim": int}
-    meta = read_index_meta(directory, "exact", keys)
-    path, precision = directory / "tokens.bin", meta["precision"]
-    check_format(precision in PRECISION_DTYPES, path, f"unknown precision {precision!r}")
-    table, tokens = read_table(path, EXACT_MAGIC, [TokenTable, PRECISION_DTYPES[precision]], meta)
-    want = (meta["token_count"], meta["dim"])
-    check_format(tokens.shape == want, path, f"shape {tokens.shape} disagrees with meta {want}")
-    return ExactIndex(**vars(table), dim=meta["dim"], precision=precision, tokens=tokens)
+    records = [TokenTable, tuple(PRECISION_DTYPES.values())]
+    path, _, (table, tokens) = read_table(directory, "exact", {}, records)
+    ok = tokens.ndim == 2 and len(tokens) == table.total_tokens
+    check_format(ok, path, f"token rows of shape {tokens.shape} for {table.total_tokens} tokens")
+    return ExactIndex(**vars(table), dim=tokens.shape[1], precision=tokens.dtype.name,
+                      tokens=tokens)

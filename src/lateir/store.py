@@ -17,25 +17,24 @@ plus ``manifest.json``; one pass reads the file into a table and a matrix.
 Stores and the exact and compressed indexes are TokenTables: doc ids plus
 int64 token offsets, document i owning token rows offsets[i]:offsets[i + 1]
 of one token matrix.  An index saves its table as three container records
-(``table_arrays``), read and checked against ``meta.json`` by ``read_table``.
+(``table_arrays``), read and checked against each other by ``read_table``.
 In memory, a store is that matrix in the store's precision (read-only once
 loaded), its table, and a read-only ``entries`` view (id -> rows); ingestion
 normalizes the matrix in blocks of ``_ROW_BLOCK`` rows, and both it and
 ``load_store`` reject zero-norm rows and NaN or infinite values.
 
-An index directory holds exactly one array container (``tokens.bin``,
-``residuals.bin`` or ``postings.bin``) plus ``meta.json``, which records its
-``mode`` and ``format_version`` (``save_index`` / ``read_index_meta``).
+An index directory holds exactly one array container, its mode's
+(``INDEX_CONTAINERS``: ``tokens.bin``, ``residuals.bin`` or ``postings.bin``),
+whose record 0 holds the index's parameters as a UTF-8 JSON object
+(``save_index`` / ``read_index``); ``index_mode`` names it.
 An array container is: magic (4 bytes) | u32 format version | u32 array
 count, then one ``.npy`` record per array.
 Strings are stored as a UTF-8 blob (uint8) plus int64 byte offsets, and a
 record's strings must be distinct.
 Stores, containers, JSON metadata and text outputs are written to a temporary
-sibling, then renamed; a store or index directory renames its files only once
-all are written, its metadata last (``_replacing_files``), so a crash between
-the two renames can pair a whole new file only with the previous metadata,
-whose counts the loader checks.  ``read_json``
-checks each metadata key's JSON type.
+sibling, then renamed, so an index is replaced by one rename; a store
+directory renames its two files only once both are written, its manifest last
+(``_replacing_files``).  ``read_json`` checks each metadata key's JSON type.
 
 Every line-oriented text file (runs, qrels, pairs, teacher scores, corpus,
 negatives and n-way JSONL) is read by ``read_rows`` or ``read_jsonl`` and
@@ -66,7 +65,10 @@ from .errors import DuplicateDocId, FormatError, LengthError, ParseError, ZeroVe
 
 EMBEDDING_MAGIC = b"LIEM"
 EMBEDDING_FORMAT_VERSION = 1
-INDEX_FORMAT_VERSION = 5
+INDEX_FORMAT_VERSION = 6
+# mode -> (file name, magic) of its index container
+INDEX_CONTAINERS = {"exact": ("tokens.bin", b"LIEX"), "compressed": ("residuals.bin", b"LIRC"),
+                    "bm25": ("postings.bin", b"LIBP")}
 _HEADER = struct.Struct("<4sIIBQ")
 _ARRAYS_HEADER = struct.Struct("<4sII")
 
@@ -233,54 +235,57 @@ def write_json(path: str | Path, obj) -> None:
 def read_json(path: str | Path, keys: Mapping[str, type | tuple[type, ...]]) -> dict:
     """A JSON object holding every key in keys with a value of the given type(s),
     a bool counting only as a bool; FormatError naming path otherwise."""
+    return _json_object(Path(path).read_bytes(), path, keys)
+
+
+def _json_object(data: bytes, path: str | Path, keys: Mapping) -> dict:
+    """data as a UTF-8 JSON object holding keys (see read_json)."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(data.decode("utf-8"))
     except ValueError as exc:
         raise FormatError(f"{path}: unreadable JSON: {exc}") from exc
     check_format(isinstance(obj, dict), path, "not a JSON object")
-    _check_keys(obj, path, keys)
-    return obj
-
-
-def _check_keys(obj: dict, path: str | Path, keys: Mapping[str, type | tuple[type, ...]]):
     for key, types in keys.items():
         value, name = obj.get(key), getattr(types, "__name__", "number")
         ok = isinstance(value, types) and (types is bool or not isinstance(value, bool))
         check_format(ok, path, f"key {key!r} missing or not of type {name}")
+    return obj
 
 
-def save_index(directory: str | Path, meta: dict, name: str, magic: bytes, arrays: Sequence):
-    """Write the index's one array container, then meta.json plus format_version,
-    replacing the directory's files only once both are written (see _replacing_files)."""
-    with _replacing_files(directory, [name, "meta.json"]) as tmp:
-        write_arrays(tmp[name], magic, INDEX_FORMAT_VERSION, arrays)
-        write_json(tmp["meta.json"], {**meta, "format_version": INDEX_FORMAT_VERSION})
-
-
-def _index_meta_path(directory: str | Path) -> Path:
-    """directory/meta.json; FormatError asking for a rebuild for an exact index from
-    before format 3, which named it index-meta.json."""
-    path = Path(directory) / "meta.json"
-    old = path.with_name("index-meta.json")
-    check_format(path.exists() or not old.exists(), old, "format before 3; rebuild the index")
-    return path
-
-
-def read_index_meta(directory: str | Path, mode: str, keys: Mapping) -> dict:
-    """An index directory's meta.json holding keys (see read_json); FormatError
-    unless it also records INDEX_FORMAT_VERSION and `mode`."""
-    path = _index_meta_path(directory)
-    meta = read_json(path, {"format_version": int})
-    version = meta["format_version"]
-    check_format(version == INDEX_FORMAT_VERSION, path, f"version {version}; rebuild the index")
-    check_format(meta.get("mode") == mode, path, f"mode {meta.get('mode')!r}, expected {mode!r}")
-    _check_keys(meta, path, keys)
-    return meta
+def save_index(directory: str | Path, mode: str, params: dict, arrays: Sequence):
+    """Write mode's index container in directory through _replacing, record 0 holding
+    params as a UTF-8 JSON object, then remove any other mode's container."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    name, magic = INDEX_CONTAINERS[mode]
+    blob = np.frombuffer(json.dumps(params, sort_keys=True).encode("utf-8"), np.uint8)
+    write_arrays(directory / name, magic, INDEX_FORMAT_VERSION, [blob, *arrays])
+    for other, _ in INDEX_CONTAINERS.values():
+        if other != name:
+            (directory / other).unlink(missing_ok=True)
 
 
 def index_mode(directory: str | Path) -> str:
-    """The mode (exact, compressed or bm25) recorded in an index directory's meta.json."""
-    return read_json(_index_meta_path(directory), {"mode": str})["mode"]
+    """The mode (exact, compressed or bm25) of the one index container in directory;
+    FormatError asking for a rebuild if it holds none or several."""
+    names = {p.name for p in Path(directory).iterdir()}
+    held = [mode for mode, (name, _) in INDEX_CONTAINERS.items() if name in names]
+    found = ", ".join(INDEX_CONTAINERS[mode][0] for mode in held) or "no index container"
+    check_format(len(held) == 1, directory, f"holds {found}; rebuild the index")
+    return held[0]
+
+
+def read_index(directory: str | Path, mode: str, keys: Mapping, dtypes: Sequence
+               ) -> tuple[Path, dict, list[np.ndarray]]:
+    """(path, parameters, arrays) of directory's index container, which must be mode's:
+    record 0 a JSON object holding keys (see read_json), then arrays of dtypes (see
+    read_arrays)."""
+    found = index_mode(directory)
+    check_format(found == mode, directory, f"mode {found!r}, expected {mode!r}")
+    name, magic = INDEX_CONTAINERS[mode]
+    path = Path(directory) / name
+    blob, *arrays = read_arrays(path, magic, INDEX_FORMAT_VERSION, ["u1", *dtypes])
+    return path, _json_object(blob.tobytes(), path, keys), arrays
 
 
 @contextmanager
@@ -362,8 +367,9 @@ def write_arrays(path: str | Path, magic: bytes, version: int, arrays: Sequence[
 
 
 def read_arrays(path: str | Path, magic: bytes, version: int, dtypes: Sequence) -> list[np.ndarray]:
-    """Read an array container holding one array per entry of dtypes.  Each
-    record's dtype, order and size are checked before its data is read."""
+    """Read an array container holding one array per entry of dtypes, a dtype or a
+    tuple of the dtypes allowed.  Each record's dtype, order and size are checked
+    before its data is read."""
     size = os.stat(path).st_size
     arrays = []
     with open(path, "rb") as fh:
@@ -373,7 +379,8 @@ def read_arrays(path: str | Path, magic: bytes, version: int, dtypes: Sequence) 
         check_format(file_magic == magic, path, f"bad magic {file_magic!r}")
         check_format(file_version == version, path, f"version {file_version}; rebuild the index")
         check_format(count == len(dtypes), path, f"{count} arrays, expected {len(dtypes)}")
-        for i, dtype in enumerate(map(np.dtype, dtypes)):
+        for i, want in enumerate(dtypes):
+            allowed = [np.dtype(d) for d in (want if isinstance(want, tuple) else [want])]
             try:  # numpy raises any of these for a malformed .npy header
                 major, _ = np.lib.format.read_magic(fh)
                 check_format(major in (1, 2), path, f"array {i}: .npy version {major}")
@@ -381,11 +388,11 @@ def read_arrays(path: str | Path, magic: bytes, version: int, dtypes: Sequence) 
                 shape, fortran_order, file_dtype = read_header(fh)
                 n = math.prod(shape)
                 check_format(
-                    file_dtype == dtype and not fortran_order and min(shape, default=0) >= 0
-                    and n * dtype.itemsize <= size - fh.tell(),
+                    file_dtype in allowed and not fortran_order and min(shape, default=0) >= 0
+                    and n * file_dtype.itemsize <= size - fh.tell(),
                     path, f"array {i}: {file_dtype} {shape} in {size - fh.tell()} bytes",
                 )
-                arrays.append(np.fromfile(fh, dtype=dtype, count=n).reshape(shape))
+                arrays.append(np.fromfile(fh, dtype=file_dtype, count=n).reshape(shape))
             except (ValueError, SyntaxError, tokenize.TokenError) as exc:
                 raise FormatError(f"{path}: array {i}: {exc}") from exc
         check_format(fh.tell() == size, path, "trailing bytes")
@@ -448,18 +455,18 @@ class TokenTable:
         return [*pack_strings(self.doc_ids), self.offsets]
 
 
-def read_table(path: str | Path, magic: bytes, records: list, meta: Mapping) -> list:
-    """The arrays of an index container holding the dtypes in records, with a
-    TokenTable, checked against meta.json's counts, where records holds TokenTable."""
+def read_table(directory: str | Path, mode: str, keys: Mapping, records: list
+               ) -> tuple[Path, dict, list]:
+    """read_index, TokenTable in records standing for a token table's three records,
+    returned as one TokenTable whose ids and offsets agree."""
     at = records.index(TokenTable)
     dtypes = [*records[:at], "u1", "<i8", "<i8", *records[at + 1 :]]
-    arrays = read_arrays(path, magic, INDEX_FORMAT_VERSION, dtypes)
+    path, params, arrays = read_index(directory, mode, keys, dtypes)
     doc_ids, offsets = unpack_strings(*arrays[at : at + 2], path), arrays[at + 2]
-    counts, n_docs = (len(doc_ids), offsets.shape), meta["doc_count"]
-    check_format(counts == (n_docs, (n_docs + 1,)), path,
-                 f"ids and offsets {counts} disagree with meta.json doc_count {n_docs}")
-    check_offsets(offsets, meta["token_count"], path, "token offsets", min_step=1)
-    return [*arrays[:at], TokenTable(doc_ids, offsets), *arrays[at + 3 :]]
+    check_format(offsets.shape == (len(doc_ids) + 1,), path,
+                 f"{len(doc_ids)} doc ids but token offsets of shape {offsets.shape}")
+    check_offsets(offsets, offsets[-1], path, "token offsets", min_step=1)
+    return path, params, [*arrays[:at], TokenTable(doc_ids, offsets), *arrays[at + 3 :]]
 
 
 @dataclass(init=False)

@@ -14,7 +14,6 @@ from lateir.bm25 import (
     search_bm25,
     tokenize,
 )
-import lateir.store
 from lateir.cli import main
 from lateir.errors import ConfigError, DuplicateDocId, FormatError
 from lateir.store import CorpusRecord
@@ -249,13 +248,13 @@ class TestPersistence:
             assert got.bounds.tolist() == [0]
             assert got.docs.size == got.tfs.size == got.doc_lengths.size == 0
 
-    def test_failed_meta_write_keeps_previous_index(self, tmp_path, rng, monkeypatch):
-        # postings.bin is written before meta.json fails: neither replaces its file
+    def test_failed_save_keeps_previous_index(self, tmp_path, rng, monkeypatch):
+        # the third record's write fails: no byte of the old index changes
         t = Tokenizer("char_bigram")
         save_bm25(build_bm25(random_corpus(rng, 15), t), tmp_path / "bm25")
         before = dir_bytes(tmp_path / "bm25")
         run = search_bm25(load_bm25(tmp_path / "bm25"), "abcdef", t, k=10).entries
-        monkeypatch.setattr(lateir.store, "write_json", fail_on_call(lateir.store.write_json, 1))
+        monkeypatch.setattr(np.lib.format, "write_array", fail_on_call(np.lib.format.write_array, 3))
         with pytest.raises(OSError, match="disk full"):
             save_bm25(build_bm25(random_corpus(rng, 20), t, k1=1.5), tmp_path / "bm25")
         assert dir_bytes(tmp_path / "bm25") == before
@@ -266,11 +265,8 @@ class TestPersistence:
         t = Tokenizer("char_bigram")
         for name in ("one", "two"):
             save_bm25(build_bm25(corpus, t), tmp_path / name)
-        assert sorted(p.name for p in (tmp_path / "one").iterdir()) == ["meta.json", "postings.bin"]
-        for filename in ("postings.bin", "meta.json"):
-            assert (tmp_path / "one" / filename).read_bytes() == (
-                tmp_path / "two" / filename
-            ).read_bytes()
+        assert dir_bytes(tmp_path / "one").keys() == {"postings.bin"}
+        assert dir_bytes(tmp_path / "one") == dir_bytes(tmp_path / "two")
 
 
 class TestLoadChecks:
@@ -290,26 +286,26 @@ class TestLoadChecks:
         (saved / name).write_bytes(bytes(data))
         self._expect_format_error(saved, "rebuild the index")
 
-    # postings.bin arrays: 0-1 terms, 2 posting offsets, 3 doc indexes, 4 tfs
+    # postings.bin arrays: 0 parameters, 1-2 terms, 3 posting offsets, 4 doc indexes, 5 tfs
     @pytest.mark.parametrize(
         "edit", [lambda a: a[::-1], lambda a: a - 1, lambda a: a[:-1]],
         ids=["reversed", "shifted", "short"],
     )
     def test_posting_offsets_checked(self, saved, edit):
-        edit_container(saved / "postings.bin", 2, edit)
+        edit_container(saved / "postings.bin", 3, edit)
         self._expect_format_error(saved)
 
     @pytest.mark.parametrize("value", [10, -1], ids=["doc-count", "negative"])
     def test_doc_index_out_of_range(self, saved, value):
-        edit_container(saved / "postings.bin", 3, set_item(0, value))
+        edit_container(saved / "postings.bin", 4, set_item(0, value))
         self._expect_format_error(saved, "doc index")
 
-    # postings.bin arrays 3 (doc indexes) and 4 (tfs); the first term's list holds
+    # postings.bin arrays 4 (doc indexes) and 5 (tfs); the first term's list holds
     # two or more documents, so doc-twice repeats its first document in it
     @pytest.mark.parametrize(
         "record, edit, match",
-        [(4, set_item(0, 0), "term frequency"), (4, set_item(0, -3), "term frequency"),
-         (3, lambda a: a[[0, 0, *range(2, a.size)]], "ascending")],
+        [(5, set_item(0, 0), "term frequency"), (5, set_item(0, -3), "term frequency"),
+         (4, lambda a: a[[0, 0, *range(2, a.size)]], "ascending")],
         ids=["tf-zero", "tf-negative", "doc-twice"],
     )
     def test_inconsistent_postings_rejected(self, saved, capsys, record, edit, match):
@@ -323,5 +319,5 @@ class TestLoadChecks:
         assert match in capsys.readouterr().err
 
     def test_term_without_postings_rejected(self, saved):
-        edit_container(saved / "postings.bin", 2, set_item(1, 0))
+        edit_container(saved / "postings.bin", 3, set_item(1, 0))
         self._expect_format_error(saved, "posting offsets")

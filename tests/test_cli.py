@@ -10,7 +10,6 @@ import lateir
 from lateir.cli import COMMANDS, main, run_pipeline
 from lateir.errors import ConfigError
 from lateir.ranking import read_trec_run
-import lateir.store
 from lateir.store import INDEX_FORMAT_VERSION, write_embedding_file
 
 from conftest import dir_bytes, fail_on_call, file_entries, perturb_rows, unit_rows
@@ -195,6 +194,11 @@ class TestSearchPipeline:
         ])
         rows = read_trec_run(run)
         assert len(rows) == 6
+        # the index records what compress records; the build's iterations are in its manifest
+        index = lateir.load_compressed(workspace / "comp-idx")
+        assert index.params == {"seed": 7, "nbits": 2, "bucket_sample_limit": 1 << 20}
+        manifest = json.loads((workspace / "comp-idx" / "run-manifest.json").read_text())
+        assert manifest["parameters"]["iterations"] == 3
 
     def test_search_rerunnable_identical_bytes(self, workspace):
         _ingest_both(workspace)
@@ -241,8 +245,8 @@ class TestSearchPipeline:
         run_ok(build + ["--seed", "1"])
         run_ok(search)
         before, ranked = dir_bytes(index), run.read_bytes()
-        # residuals.bin is written before meta.json fails
-        monkeypatch.setattr(lateir.store, "write_json", fail_on_call(lateir.store.write_json, 1))
+        # the third record of residuals.bin fails to write
+        monkeypatch.setattr(np.lib.format, "write_array", fail_on_call(np.lib.format.write_array, 3))
         assert main(build + ["--seed", "2"]) == 2
         assert "disk full" in capsys.readouterr().err
         assert dir_bytes(index) == before
@@ -267,6 +271,25 @@ def test_run_tag_not_one_field_rejected(workspace, capsys, tag):
         assert main([*argv, "--out", str(workspace / "run.trec"), "--run-tag", tag]) == 2, argv
         assert "run tag" in capsys.readouterr().err
         assert sorted(workspace.iterdir()) == before  # no run, manifest or temporary file
+
+
+def test_bad_run_tag_rejected_before_searching(workspace, monkeypatch):
+    _ingest_both(workspace)
+    run_ok(["index", "--store", str(workspace / "docstore"), "--out", str(workspace / "idx"),
+            "--mode", "exact"])
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("query_id"))
+        return lateir.search_exact(*args, **kwargs)
+
+    monkeypatch.setattr(lateir.cli, "search_exact", counting)
+    argv = ["search", "--index", str(workspace / "idx"), "--queries", str(workspace / "qstore"),
+            "--out", str(workspace / "run.trec")]
+    assert main([*argv, "--run-tag", "my run"]) == 2
+    assert calls == []
+    run_ok(argv)
+    assert len(calls) == 6
 
 
 class TestStoreKind:

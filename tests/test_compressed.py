@@ -1,6 +1,5 @@
 """Compressed index: k-means, residual codec, inverted lists, staged search."""
 
-import json
 import shutil
 import struct
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 
 from lateir.compressed import (
+    BUCKET_SAMPLE_LIMIT,
     Codebook,
     CompressedIndex,
     ResidualCodec,
@@ -22,7 +22,6 @@ from lateir.compressed import (
 )
 from lateir.errors import BadCentroidId, DimMismatch, EmptyStore, FormatError, InsufficientTokens
 from lateir.exact import build_exact, save_exact, search_exact
-import lateir.store
 from lateir.store import EmbeddingStore
 from lateir.scoring import maxsim
 from conftest import (
@@ -362,6 +361,9 @@ class TestPersistence:
         np.testing.assert_array_equal(back.packed_codes, index.packed_codes)
         np.testing.assert_array_equal(back.ivf_offsets, index.ivf_offsets)
         np.testing.assert_array_equal(back.ivf_docs, index.ivf_docs)
+        assert back.params == index.params == {"seed": 5, "nbits": 2,
+                                               "bucket_sample_limit": BUCKET_SAMPLE_LIMIT}
+        assert back.codebook.seed == 5
         q = unit_rows(rng, 3, 12)
         assert (
             search_compressed(back, q, k=10).entries
@@ -373,30 +375,26 @@ class TestPersistence:
         for name in ("one", "two"):
             codebook = train_codebook(store, k=8, iterations=3, seed=5)
             save_compressed(compress(store, codebook), tmp_path / name)
-        assert sorted(p.name for p in (tmp_path / "one").iterdir()) == ["meta.json",
-                                                                        "residuals.bin"]
-        for filename in ("residuals.bin", "meta.json"):
-            assert (tmp_path / "one" / filename).read_bytes() == (
-                tmp_path / "two" / filename
-            ).read_bytes(), filename
+        assert dir_bytes(tmp_path / "one").keys() == {"residuals.bin"}
+        assert dir_bytes(tmp_path / "one") == dir_bytes(tmp_path / "two")
 
     def test_failed_save_keeps_previous_index(self, tmp_path, rng, monkeypatch):
-        # residuals.bin is written before meta.json fails: no file of the old index changes
+        # the third record's write fails: no byte of the old index changes
         store = random_store(rng, 30, 12, min_tokens=2, max_tokens=9)
         save_compressed(compress(store, train_codebook(store, k=8, seed=0)), tmp_path / "idx")
         before = dir_bytes(tmp_path / "idx")
         q = unit_rows(rng, 3, 12)
         run = search_compressed(load_compressed(tmp_path / "idx"), q, k=10).entries
         newer = compress(store, train_codebook(store, k=8, seed=1))
-        monkeypatch.setattr(lateir.store, "write_json", fail_on_call(lateir.store.write_json, 1))
+        monkeypatch.setattr(np.lib.format, "write_array", fail_on_call(np.lib.format.write_array, 3))
         with pytest.raises(OSError, match="disk full"):
             save_compressed(newer, tmp_path / "idx")
         assert dir_bytes(tmp_path / "idx") == before  # and no .tmp file is left
         assert search_compressed(load_compressed(tmp_path / "idx"), q, k=10).entries == run
 
     def test_container_of_another_build_ranks_as_that_build(self, tmp_path, rng):
-        # a crash between the renames can leave a newer residuals.bin beside an older
-        # meta.json; the centroids travel with the codes, so search is the newer build's
+        # the parameters, centroids and codes travel together: a directory holding
+        # another build's residuals.bin is that build, seed included
         store = random_store(rng, 40, 12, min_tokens=2, max_tokens=9)
         for name, seed in (("one", 42), ("two", 7)):
             codebook = train_codebook(store, k=16, seed=seed)
@@ -409,6 +407,7 @@ class TestPersistence:
                 for name, index in (("one", one), ("two", two), ("mixed", mixed))}
         assert runs["one"] != runs["two"]
         assert runs["mixed"] == runs["two"]
+        assert mixed.params["seed"] == mixed.codebook.seed == 7
 
     def test_doc_table_records_match_exact_index(self, tmp_path, rng):
         store = random_store(rng, 30, 12, min_tokens=2, max_tokens=9)
@@ -417,12 +416,12 @@ class TestPersistence:
         _, _, exact = read_container(tmp_path / "exact" / "tokens.bin")
         _, _, comp = read_container(tmp_path / "comp" / "residuals.bin")
         # doc id blob, doc id offsets, token offsets
-        for a, b in zip(exact[0:3], comp[3:6], strict=True):
+        for a, b in zip(exact[1:4], comp[4:7], strict=True):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class TestLoadChecks:
-    """load_compressed rejects arrays that disagree with meta.json or the codebook."""
+    """load_compressed rejects records that disagree with each other."""
 
     @pytest.fixture
     def saved(self, tmp_path, rng):
@@ -432,28 +431,28 @@ class TestLoadChecks:
         return tmp_path / "idx"
 
     def test_centroid_id_out_of_range(self, saved):
-        edit_container(saved / "residuals.bin", 6, set_item(3, 10**6))
+        edit_container(saved / "residuals.bin", 7, set_item(3, 10**6))
         with pytest.raises(BadCentroidId):
             load_compressed(saved)
 
-    # residuals.bin arrays: 0 centroids, 1 cutoffs, 2 values, 3-4 doc ids,
-    # 5 token offsets, 6 centroid ids, 7 packed codes
+    # residuals.bin arrays: 0 parameters, 1 centroids, 2 cutoffs, 3 values, 4-5 doc ids,
+    # 6 token offsets, 7 centroid ids, 8 packed codes
     @pytest.mark.parametrize(
         "index, edit",
         [
-            (0, lambda a: a[:-1]),
-            (0, lambda a: a[:, :-1]),
-            (1, lambda a: a[:, :2]),
-            (2, lambda a: a[:-1]),
-            (7, lambda a: a[:, :-1]),
+            (1, lambda a: a[:-1]),
+            (1, lambda a: a[:, :-1]),
+            (2, lambda a: a[:, :2]),
+            (3, lambda a: a[:-1]),
+            (8, lambda a: a[:, :-1]),
+            (8, lambda a: a[:-1]),
             (7, lambda a: a[:-1]),
-            (6, lambda a: a[:-1]),
-            (4, lambda a: a[:-1]),
             (5, lambda a: a[:-1]),
-            (5, lambda a: a + 1),
-            (5, set_item(-1, 10**6)),
-            (5, set_item(2, 1)),
-            (5, set_item(1, 0)),
+            (6, lambda a: a[:-1]),
+            (6, lambda a: a + 1),
+            (6, set_item(-1, 10**6)),
+            (6, set_item(2, 1)),
+            (6, set_item(1, 0)),
         ],
         ids=[
             "centroid-count", "centroid-dim", "cutoffs", "values", "code-width", "code-rows",
@@ -462,16 +461,10 @@ class TestLoadChecks:
         ],
     )
     def test_arrays_checked(self, saved, index, edit):
+        # K is the centroid count: without the last centroid, a token's id is out of range
+        assert load_compressed(saved).centroid_ids.max() == 7
         edit_container(saved / "residuals.bin", index, edit)
-        with pytest.raises(FormatError):
-            load_compressed(saved)
-
-    @pytest.mark.parametrize("key", ["doc_count", "token_count", "k_centroids", "dim"])
-    def test_meta_counts_checked(self, saved, key):
-        meta = json.loads((saved / "meta.json").read_text(encoding="utf-8"))
-        meta[key] += 1
-        (saved / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
-        with pytest.raises(FormatError):
+        with pytest.raises((FormatError, BadCentroidId)):
             load_compressed(saved)
 
     @pytest.mark.parametrize("name", ["residuals.bin"])

@@ -1,5 +1,5 @@
-"""Damaged index, metadata and text files: every loader fails with an
-EngineError, never a bare error, and the CLI exits 2."""
+"""Damaged index, parameter, metadata and text files: every loader fails with
+an EngineError, never a bare error, and the CLI exits 2."""
 
 import json
 import re
@@ -19,7 +19,7 @@ from lateir.ranking import read_trec_run
 from lateir.store import CorpusRecord, load_store, pack_strings, read_corpus_jsonl, read_rows
 from lateir.store import INDEX_FORMAT_VERSION, save_store, write_arrays
 
-from conftest import random_store, read_container
+from conftest import dir_bytes, fail_on_call, random_store, read_container
 
 LOADERS = {
     "store": load_store, "exact": load_exact, "compressed": load_compressed, "bm25": load_bm25
@@ -114,15 +114,11 @@ def test_flipped_bytes(indexes, tmp_path, kind, name):
 
 # --- JSON metadata: a missing key or a truncated file is a FormatError -----
 
-META = {
-    ("store", "manifest.json"): ["corpus", "created", "dim", "entry_count", "kind", "precision"],
-    ("exact", "meta.json"): ["dim", "doc_count", "format_version", "mode", "precision",
-                             "token_count"],
-    ("compressed", "meta.json"): ["dim", "doc_count", "format_version", "k_centroids", "mode",
-                                  "seed", "token_count"],
-    ("bm25", "meta.json"): ["b", "doc_count", "format_version", "k1", "lowercase", "mode", "scheme",
-                            "term_count"],
-}
+META = {("store", "manifest.json"): ["corpus", "created", "dim", "entry_count", "kind", "precision"]}
+# the keys of each index's parameters, record 0 of its container
+PARAMS = {"exact": [], "compressed": ["bucket_sample_limit", "nbits", "seed"],
+          "bm25": ["b", "k1", "lowercase", "scheme"]}
+INDEX_KINDS = tuple(PARAMS)
 
 
 def test_suite_names_every_saved_file(indexes):
@@ -172,12 +168,7 @@ def test_damaged_metadata_cli_exits_2(indexes, tmp_path, kind, name, capsys):
         assert str(work) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "kind, name, key, value",
-    [("exact", "meta.json", "dim", "8"), ("exact", "meta.json", "doc_count", True),
-     ("compressed", "meta.json", "k_centroids", 8.0), ("bm25", "meta.json", "lowercase", 1),
-     ("bm25", "meta.json", "scheme", "morphemes"), ("store", "manifest.json", "kind", None)],
-)
+@pytest.mark.parametrize("kind, name, key, value", [("store", "manifest.json", "kind", None)])
 def test_mistyped_metadata(indexes, tmp_path, kind, name, key, value):
     meta = json.loads((indexes / kind / name).read_bytes())
     variant = json.dumps({**meta, key: value}).encode("utf-8")
@@ -186,9 +177,66 @@ def test_mistyped_metadata(indexes, tmp_path, kind, name, key, value):
             LOADERS[kind](work)
 
 
-# --- meta.json names each index's mode and format version -------------------
+# --- record 0: an index's parameters as one UTF-8 JSON object ----------------
 
-INDEX_KINDS = ("exact", "compressed", "bm25")
+def _params(indexes, kind) -> bytes:
+    """Record 0 of kind's index container."""
+    return read_container(indexes / kind / dict(CONTAINERS)[kind])[2][0].tobytes()
+
+
+def _params_copies(indexes, tmp_path, kind, blobs):
+    """Yield a copy of kind's index directory once per blob as its record 0."""
+    name = dict(CONTAINERS)[kind]
+    magic, version, arrays = read_container(indexes / kind / name)
+    work = tmp_path / kind
+    shutil.copytree(indexes / kind, work)
+    for blob in blobs:
+        arrays[0] = np.frombuffer(blob, dtype=np.uint8)
+        write_arrays(work / name, magic, version, arrays)
+        yield work
+
+
+def _params_variants(indexes, kind) -> list[bytes]:
+    """kind's parameters once without each key, then cut short, then not a JSON object
+    or not UTF-8."""
+    blob = _params(indexes, kind)
+    params = json.loads(blob)
+    assert sorted(params) == PARAMS[kind]
+    missing = [json.dumps({k: v for k, v in params.items() if k != key}).encode("utf-8")
+               for key in params]
+    return [*missing, *(blob[:cut] for cut in range(len(blob))), b"[1, 2]", b"\xff{}"]
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_damaged_params(indexes, tmp_path, kind):
+    LOADERS[kind](indexes / kind)  # the undamaged directory loads
+    for work in _params_copies(indexes, tmp_path, kind, _params_variants(indexes, kind)):
+        with pytest.raises(FormatError):
+            LOADERS[kind](work)
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_damaged_params_cli_exits_2(indexes, tmp_path, kind, capsys):
+    for work in _params_copies(indexes, tmp_path, kind, _params_variants(indexes, kind)):
+        assert main(_reader_argv(indexes, tmp_path, kind, work)) == 2
+        assert str(work) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [("bm25", "scheme", "morphemes"), ("bm25", "lowercase", 1), ("bm25", "k1", "0.9"),
+     ("compressed", "seed", "7"), ("compressed", "seed", True), ("compressed", "nbits", 3)],
+)
+def test_mistyped_params(indexes, tmp_path, kind, key, value, capsys):
+    variant = json.dumps({**json.loads(_params(indexes, kind)), key: value}).encode("utf-8")
+    for work in _params_copies(indexes, tmp_path, kind, [variant]):
+        with pytest.raises(FormatError):
+            LOADERS[kind](work)
+        assert main(_reader_argv(indexes, tmp_path, kind, work)) == 2
+        assert str(work) in capsys.readouterr().err
+
+
+# --- an index directory holds one container, which names its mode -----------
 
 
 @pytest.mark.parametrize(
@@ -203,29 +251,71 @@ def test_loader_rejects_other_index_kind(indexes, kind, other):
 
 @pytest.mark.parametrize("kind", INDEX_KINDS)
 def test_old_format_version_asks_for_rebuild(indexes, tmp_path, kind):
-    meta = json.loads((indexes / kind / "meta.json").read_bytes())
-    variant = json.dumps({**meta, "format_version": INDEX_FORMAT_VERSION - 1}).encode("utf-8")
-    for work in _damaged_copies(indexes, tmp_path, kind, "meta.json", [variant]):
-        with pytest.raises(FormatError, match="rebuild the index"):
-            LOADERS[kind](work)
+    # the previous format: the container without its parameters record, and meta.json
+    name, old = dict(CONTAINERS)[kind], INDEX_FORMAT_VERSION - 1
+    magic, _, arrays = read_container(indexes / kind / name)
+    work = tmp_path / kind
+    work.mkdir()
+    write_arrays(work / name, magic, old, arrays[1:])
+    (work / "meta.json").write_text(json.dumps({"mode": kind, "format_version": old}))
+    with pytest.raises(FormatError, match=f"version {old}; rebuild the index"):
+        LOADERS[kind](work)
 
 
 def test_exact_index_before_format_3_asks_for_rebuild(indexes, tmp_path, capsys):
+    # formats 1 and 2 kept an exact index as embeddings.bin plus index-meta.json
     work = tmp_path / "exact"
-    shutil.copytree(indexes / "exact", work)
-    (work / "meta.json").rename(work / "index-meta.json")
+    shutil.copytree(indexes / "store", work)
+    (work / "manifest.json").rename(work / "index-meta.json")
     with pytest.raises(FormatError, match="rebuild the index"):
         load_exact(work)
     assert main(_reader_argv(indexes, tmp_path, "exact", work)) == 2
     assert "rebuild the index" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_directory_without_one_container_asks_for_rebuild(indexes, tmp_path, kind):
+    empty, both = tmp_path / "empty", tmp_path / "both"
+    empty.mkdir()
+    shutil.copytree(indexes / kind, both)
+    other = next(k for k in INDEX_KINDS if k != kind)
+    shutil.copy(indexes / other / dict(CONTAINERS)[other], both)
+    for work in (empty, both):
+        with pytest.raises(FormatError, match="rebuild the index"):
+            LOADERS[kind](work)
+
+
+SAVERS = {"exact": save_exact, "compressed": save_compressed, "bm25": save_bm25}
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_save_replaces_another_kinds_index(indexes, tmp_path, kind):
+    other = next(k for k in INDEX_KINDS if k != kind)
+    work = tmp_path / other
+    shutil.copytree(indexes / other, work)
+    SAVERS[kind](LOADERS[kind](indexes / kind), work)
+    assert dir_bytes(work) == dir_bytes(indexes / kind)
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_failed_save_leaves_directory_unchanged(indexes, tmp_path, kind, monkeypatch):
+    other = next(k for k in INDEX_KINDS if k != kind)
+    work = tmp_path / other
+    shutil.copytree(indexes / other, work)
+    index = LOADERS[kind](indexes / kind)
+    # the second record's write fails
+    monkeypatch.setattr(np.lib.format, "write_array", fail_on_call(np.lib.format.write_array, 2))
+    with pytest.raises(OSError, match="disk full"):
+        SAVERS[kind](index, work)
+    assert dir_bytes(work) == dir_bytes(indexes / other)  # and no .tmp file is left
+
+
 # each string record: index kind, file, position of its blob (its offsets follow)
 STRING_RECORDS = {
-    "exact-ids": ("exact", "tokens.bin", 0),
-    "compressed-ids": ("compressed", "residuals.bin", 3),
-    "bm25-ids": ("bm25", "postings.bin", 5),
-    "bm25-terms": ("bm25", "postings.bin", 0),
+    "exact-ids": ("exact", "tokens.bin", 1),
+    "compressed-ids": ("compressed", "residuals.bin", 4),
+    "bm25-ids": ("bm25", "postings.bin", 6),
+    "bm25-terms": ("bm25", "postings.bin", 1),
 }
 
 
@@ -237,7 +327,7 @@ def test_repeated_string_rejected(indexes, tmp_path, record):
     magic, version, arrays = read_container(work / name)
     raw, cuts = arrays[at].tobytes(), arrays[at + 1].tolist()
     strings = [raw[lo:hi].decode("utf-8") for lo, hi in zip(cuts, cuts[1:])]
-    strings[1] = strings[0]  # same count, so every count in meta.json still holds
+    strings[1] = strings[0]  # same count, so every record's shape still agrees
     arrays[at : at + 2] = pack_strings(strings)
     write_arrays(work / name, magic, version, arrays)
     with pytest.raises(FormatError, match="duplicate"):

@@ -1,7 +1,5 @@
 """Exact flat index: brute-force parity, ordering contract, persistence."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,8 @@ from lateir.exact import build_exact, load_exact, save_exact, search_exact
 from lateir.scoring import maxsim
 from lateir.store import EmbeddingStore, StoreManifest
 
-from conftest import BAD_QUERIES, random_store, store_from_matrices, store_with_empty_doc, unit_rows
+from conftest import BAD_QUERIES, edit_container, random_store, store_from_matrices, unit_rows
+from conftest import store_with_empty_doc
 
 
 def brute_force_rank(store, q, k=None):
@@ -145,10 +144,7 @@ class TestPersistence:
         store = random_store(rng, 10, 8, precision="float16")
         index = build_exact(store, "float16")
         save_exact(index, tmp_path / "idx")
-        assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
-            "meta.json",
-            "tokens.bin",
-        ]
+        assert [p.name for p in (tmp_path / "idx").iterdir()] == ["tokens.bin"]
         back = load_exact(tmp_path / "idx")
         assert back.doc_ids == index.doc_ids
         assert back.precision == "float16"
@@ -156,16 +152,21 @@ class TestPersistence:
         q = unit_rows(rng, 3, 8)
         assert search_exact(back, q, k=10).entries == search_exact(index, q, k=10).entries
 
+    def test_precision_is_the_token_record_dtype(self, tmp_path, rng):
+        store = random_store(rng, 10, 8)
+        save_exact(build_exact(store, "float32"), tmp_path / "idx")
+        back = load_exact(tmp_path / "idx")
+        assert (back.precision, back.tokens.dtype, back.dim) == ("float32", np.float32, 8)
+
+    # tokens.bin arrays: 0 parameters, 1-2 doc ids, 3 token offsets, 4 token rows
     @pytest.mark.parametrize(
-        "key, value",
-        [("dim", 9), ("precision", "float32"), ("doc_count", 11), ("token_count", 0),
-         ("format_version", 1)],
+        "index, edit",
+        [(4, lambda a: a.astype("<f8")), (4, lambda a: a[:-1]), (4, lambda a: a.reshape(-1)),
+         (3, lambda a: a[:-1]), (2, lambda a: a[:-1])],
+        ids=["float64-rows", "rows-short", "rows-flat", "offsets-short", "ids-short"],
     )
-    def test_meta_cross_checked(self, tmp_path, rng, key, value):
+    def test_records_cross_checked(self, tmp_path, rng, index, edit):
         save_exact(build_exact(random_store(rng, 10, 8), "float16"), tmp_path / "idx")
-        meta_path = tmp_path / "idx" / "meta.json"
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        meta[key] = value
-        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        edit_container(tmp_path / "idx" / "tokens.bin", index, edit)
         with pytest.raises(FormatError):
             load_exact(tmp_path / "idx")
