@@ -8,7 +8,8 @@ Japanese as well as space-delimited text.  Scoring uses
     score(q, d) = sum over query tokens of
         idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len(d) / avgdl))
 
-with k1 = 0.9 and b = 0.4 by default.  The +1 inside the log keeps idf
+with k1 = 0.9 and b = 0.4 by default; building or loading an index requires
+a finite k1 >= 0 and b in [0, 1].  The +1 inside the log keeps idf
 non-negative.  Repeated query tokens contribute once per occurrence.
 
 Index directory layout: ``postings.bin``, an array container (magic LIBP, see
@@ -28,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DuplicateDocId
+from .errors import ConfigError, DuplicateDocId, FormatError
 from .ranking import RankedList, ranked_from_scores
 from .store import CorpusRecord, check_format, check_offsets, pack_strings, read_index
 from .store import save_index, unpack_strings
@@ -97,12 +98,17 @@ class BM25Index:
         return math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
+def _check_params(k1: float, b: float) -> None:
+    """ValueError unless k1 is finite and >= 0 and b is in [0, 1] (NaN is neither)."""
+    if not 0.0 <= k1 < math.inf:
+        raise ValueError(f"k1 must be finite and >= 0, got {k1!r}")
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"b must be in [0, 1], got {b!r}")
+
+
 def build_bm25(corpus: Iterable[CorpusRecord], t: Tokenizer, k1: float = DEFAULT_K1,
                b: float = DEFAULT_B) -> BM25Index:
-    if k1 < 0:
-        raise ValueError("k1 must be >= 0")
-    if not 0.0 <= b <= 1.0:
-        raise ValueError("b must be in [0, 1]")
+    _check_params(k1, b)
     doc_ids: list[str] = []
     seen: set[str] = set()
     first: dict[str, int] = {}  # term -> number in order of first occurrence
@@ -169,6 +175,10 @@ def load_bm25(directory: str | Path) -> BM25Index:
     path, params, (term_blob, term_offsets, bounds, docs, tfs, id_blob, id_offsets) = read_index(
         directory, "bm25", keys, dtypes)
     check_format(params["scheme"] in SCHEMES, path, f"unknown tokenizer {params['scheme']!r}")
+    try:
+        _check_params(params["k1"], params["b"])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     terms = unpack_strings(term_blob, term_offsets, path)
     doc_ids = unpack_strings(id_blob, id_offsets, path)
     n_docs, shapes = len(doc_ids), (bounds.shape, docs.shape, tfs.shape)

@@ -226,12 +226,9 @@ def cmd_index(o: dict) -> Result:
         save_exact(index, out)
         params = {"mode": "exact", "precision": o["precision"], "docs": index.n_docs}
     else:
-        total = store.total_tokens
         k = o["k_centroids"]
         if k == "auto":
-            k = default_centroid_count(total)
-            while k > total:
-                k //= 2
+            k = default_centroid_count(store.total_tokens)
         codebook = train_codebook(store, k, iterations=o["iterations"], seed=o["seed"])
         index = compress(store, codebook)
         save_compressed(index, out)

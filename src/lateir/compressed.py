@@ -97,11 +97,15 @@ class CompressedIndex(TokenTable):
 
 
 def default_centroid_count(total_tokens: int) -> int:
-    """round(16 * sqrt(total tokens)) rounded up to the next power of two."""
+    """round(16 * sqrt(total tokens)) rounded up to the next power of two, then halved
+    until it is at most the token count, as train_codebook requires."""
     if total_tokens < 1:
         raise ValueError("need at least one token")
     base = max(1, round(16.0 * math.sqrt(total_tokens)))
-    return 1 << math.ceil(math.log2(base))
+    k = 1 << math.ceil(math.log2(base))
+    while k > total_tokens:
+        k //= 2
+    return k
 
 
 def _unit_rows_f32(m: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ Conventions (also recorded in every report):
 Qrels files are TREC format ``qid 0 docid grade``; runs are TREC run
 format as written by the search commands.  Both are read line by line
 through ``store.read_rows``, so a malformed line raises ParseError with its
-line number.  Reports are written with ``store.write_json``.
+line number, as do a grade outside [0, MAX_GRADE] and a NaN or infinite run
+score.  Reports are written with ``store.write_json``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .ranking import RankedList, run_lists_from_trec
 from .store import read_rows
 
 METRICS = ("ndcg", "recall", "map", "mrr")
+MAX_GRADE = 1023  # the gain 2^grade - 1 of grade 1024 is not a finite float64
 
 CONVENTIONS = {
     "gain": "2^grade - 1",
@@ -71,15 +73,15 @@ Qrels = dict[str, dict[str, int]]
 
 
 def load_qrels(path: str | Path) -> Qrels:
-    """Read TREC qrels; grades must be non-negative ints, pairs unique."""
+    """Read TREC qrels; grades must be ints in [0, MAX_GRADE], pairs unique."""
     qrels: Qrels = {}
     for lineno, (qid, _, doc_id, grade_s) in read_rows(path, 4):
         try:
             grade = int(grade_s)
         except ValueError as exc:
             raise ParseError(f"bad grade {grade_s!r}", lineno) from exc
-        if grade < 0:
-            raise ParseError(f"negative grade {grade}", lineno)
+        if not 0 <= grade <= MAX_GRADE:
+            raise ParseError(f"grade {grade} outside [0, {MAX_GRADE}]", lineno)
         per_query = qrels.setdefault(qid, {})
         if doc_id in per_query:
             raise ParseError(f"duplicate pair ({qid!r}, {doc_id!r})", lineno)

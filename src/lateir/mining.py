@@ -149,52 +149,43 @@ def mine_bm25(
 
 @dataclass
 class TeacherScoreTable:
-    """(query id, document id) -> teacher relevance score.
+    """(query id, document id) -> (teacher relevance score, the text it was read from).
 
-    Raw text of each score is kept alongside the parsed float so that
-    copying scores to a new file is byte-exact.
+    Keeping each score's text makes copying scores to a new file byte-exact.
     """
 
-    scores: dict[tuple[str, str], float] = field(default_factory=dict)
-    raw: dict[tuple[str, str], str] = field(default_factory=dict)
+    entries: dict[tuple[str, str], tuple[float, str]] = field(default_factory=dict)
     source: str = ""
 
     def __len__(self) -> int:
-        return len(self.scores)
+        return len(self.entries)
 
     def get(self, query_id: str, doc_id: str) -> float | None:
-        return self.scores.get((query_id, doc_id))
+        entry = self.entries.get((query_id, doc_id))
+        return None if entry is None else entry[0]
 
     def add(self, query_id: str, doc_id: str, score: float, raw: str | None = None) -> None:
         key = (query_id, doc_id)
-        if key in self.scores:
+        if key in self.entries:
             raise ParseError(f"duplicate pair {key!r}")
         if not math.isfinite(score):
             raise ParseError(f"non-finite score for pair {key!r}")
-        self.scores[key] = score
-        self.raw[key] = raw if raw is not None else repr(score)
+        self.entries[key] = (score, repr(score) if raw is None else raw)
 
     @classmethod
-    def from_tsv(cls, path: str | Path, source: str | None = None) -> "TeacherScoreTable":
-        table = cls(source=source if source is not None else str(path))
-        # the checks of add, inline: this loop runs once per training pair
+    def from_tsv(cls, path: str | Path) -> "TeacherScoreTable":
+        table = cls(source=str(path))
         for lineno, (qid, did, raw_score) in read_rows(path, 3, sep="\t"):
             try:
-                score = float(raw_score)
+                table.add(qid, did, float(raw_score), raw=raw_score)
             except ValueError as exc:
                 raise ParseError(f"bad score {raw_score!r}", lineno) from exc
-            key = (qid, did)
-            if key in table.scores:
-                raise ParseError(f"duplicate pair {key!r}", lineno)
-            if not math.isfinite(score):
-                raise ParseError(f"non-finite score for pair {key!r}", lineno)
-            table.scores[key] = score
-            table.raw[key] = raw_score
+            except ParseError as exc:
+                raise ParseError(str(exc), lineno) from exc
         return table
 
     def write_tsv(self, path: str | Path) -> None:
-        write_rows(path, ((qid, did, self.raw.get((qid, did), repr(score)))
-                          for (qid, did), score in self.scores.items()))
+        write_rows(path, ((qid, did, raw) for (qid, did), (_, raw) in self.entries.items()))
 
 
 def transpose_scores(
@@ -213,12 +204,11 @@ def transpose_scores(
         if pair in seen:
             continue
         seen.add(pair)
-        score = english_scores.scores.get(pair)
-        if score is None:
+        entry = english_scores.entries.get(pair)
+        if entry is None:
             dropped.append(pair)
             continue
-        out.scores[pair] = score
-        out.raw[pair] = english_scores.raw.get(pair, repr(score))
+        out.entries[pair] = entry
     return out, dropped
 
 

@@ -12,6 +12,7 @@ round-trip exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -61,7 +62,9 @@ def write_trec_run(path: str | Path, runs: Iterable[RankedList], tag: str = "lat
 
 
 def read_trec_run(path: str | Path) -> dict[str, list[tuple[str, int, float]]]:
-    """Read a TREC run file into {qid: [(docid, rank, score), ...]} in file order."""
+    """Read a TREC run file into {qid: [(docid, rank, score), ...]} in file order;
+    ParseError with the line number for a score that is NaN or infinite, which has
+    no place in a ranking."""
     out: dict[str, list[tuple[str, int, float]]] = {}
     for lineno, (qid, _, doc_id, rank_s, score_s, _tag) in read_rows(path, 6):
         try:
@@ -69,6 +72,8 @@ def read_trec_run(path: str | Path) -> dict[str, list[tuple[str, int, float]]]:
             score = float(score_s)
         except ValueError as exc:
             raise ParseError(f"bad rank/score: {exc}", lineno) from exc
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score {score_s!r}", lineno)
         out.setdefault(qid, []).append((doc_id, rank, score))
     return out
 

@@ -50,8 +50,14 @@ def maxsim(q: np.ndarray, d: np.ndarray) -> float:
 
 def maxsim_per_doc(token_sims: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """maxsim of each document from (query token, document token) similarities whose
-    columns hold document j's tokens at bounds[j]:bounds[j + 1] (no empty run)."""
-    return np.maximum.reduceat(token_sims, bounds[:-1], axis=1).sum(axis=0)
+    columns hold document j's tokens at bounds[j]:bounds[j + 1] (no empty run);
+    NonFiniteScore if a document's score is NaN or infinite, which no ranking orders."""
+    scores = np.maximum.reduceat(token_sims, bounds[:-1], axis=1).sum(axis=0)
+    if not np.isfinite(scores).all():
+        j = int(np.flatnonzero(~np.isfinite(scores))[0])
+        raise NonFiniteScore(f"document {j} of {scores.size} scores {scores[j]}: "
+                             "its vectors hold a NaN or infinite value")
+    return scores
 
 
 def maxsim_grad_query(q: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -234,14 +234,19 @@ def write_json(path: str | Path, obj) -> None:
 
 def read_json(path: str | Path, keys: Mapping[str, type | tuple[type, ...]]) -> dict:
     """A JSON object holding every key in keys with a value of the given type(s),
-    a bool counting only as a bool; FormatError naming path otherwise."""
+    a bool counting only as a bool; FormatError naming path otherwise, also for
+    the NaN and Infinity constants, which are not JSON."""
     return _json_object(Path(path).read_bytes(), path, keys)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-standard constant {name}")
 
 
 def _json_object(data: bytes, path: str | Path, keys: Mapping) -> dict:
     """data as a UTF-8 JSON object holding keys (see read_json)."""
     try:
-        obj = json.loads(data.decode("utf-8"))
+        obj = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
     except ValueError as exc:
         raise FormatError(f"{path}: unreadable JSON: {exc}") from exc
     check_format(isinstance(obj, dict), path, "not a JSON object")
@@ -254,13 +259,14 @@ def _json_object(data: bytes, path: str | Path, keys: Mapping) -> dict:
 
 def save_index(directory: str | Path, mode: str, params: dict, arrays: Sequence):
     """Write mode's index container in directory through _replacing, record 0 holding
-    params as a UTF-8 JSON object, then remove any other mode's container."""
+    params as a UTF-8 JSON object, then remove any other mode's container and the
+    meta.json of format 5 and before."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     name, magic = INDEX_CONTAINERS[mode]
     blob = np.frombuffer(json.dumps(params, sort_keys=True).encode("utf-8"), np.uint8)
     write_arrays(directory / name, magic, INDEX_FORMAT_VERSION, [blob, *arrays])
-    for other, _ in INDEX_CONTAINERS.values():
+    for other in [*(other for other, _ in INDEX_CONTAINERS.values()), "meta.json"]:
         if other != name:
             (directory / other).unlink(missing_ok=True)
 

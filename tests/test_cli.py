@@ -356,6 +356,14 @@ class TestBM25Cli:
         assert "line 2" in capsys.readouterr().err
         assert not (workspace / "bm25-idx").exists()
 
+    @pytest.mark.parametrize("k1", ["nan", "inf"])
+    def test_non_finite_k1_rejected(self, workspace, capsys, k1):
+        before = sorted(workspace.iterdir())
+        assert main(["bm25", "build", "--corpus", str(workspace / "corpus.jsonl"),
+                     "--out", str(workspace / "bm25-idx"), "--k1", k1]) == 2
+        assert "k1 must be finite and >= 0" in capsys.readouterr().err
+        assert sorted(workspace.iterdir()) == before  # no index, manifest or temporary file
+
     def test_build_and_search(self, workspace):
         idx = workspace / "bm25-idx"
         run_ok([
@@ -486,6 +494,28 @@ class TestMiningCli:
             assert len(row["passages"]) == 8
             assert len(set(row["passages"])) == 8
             assert len(row["scores"]) == 8
+
+    def test_nway_skips_pairs_without_teacher_scores(self, workspace):
+        self._dense_run(workspace)
+        mined = workspace / "dense.jsonl"
+        run_ok(["mine", "dense", "--runs", str(workspace / "deep.trec"),
+                "--positives", str(workspace / "qrels.txt"), "--out", str(mined),
+                "--retrieve-depth", "40", "--discard-top", "5", "--samples", "20"])
+        unscored = json.loads(mined.read_text().splitlines()[1])["dense_negatives"][0]
+        missing = {("q0", "d00"), ("q1", unscored)}  # q0's positive, one of q1's candidates
+        scores = workspace / "scores.tsv"
+        scores.write_text("".join(f"q{i}\td{j:02d}\t{j}\n" for i in range(6) for j in range(40)
+                                  if (f"q{i}", f"d{j:02d}") not in missing))
+        out = workspace / "nway.jsonl"
+        run_ok(["nway", "--candidates", str(mined), "--scores", str(scores), "--n", "8",
+                "--out", str(out)])
+        assert (workspace / "nway.jsonl.skipped.tsv").read_text().splitlines() == [
+            "q0\tno teacher score for positive d00",
+            f"q1\tno teacher score for candidate {unscored}",
+        ]
+        rows = {row["qid"]: row for row in map(json.loads, out.read_text().splitlines())}
+        assert sorted(rows) == ["q1", "q2", "q3", "q4", "q5"]
+        assert unscored not in rows["q1"]["passages"] and len(rows["q1"]["passages"]) == 8
 
     def test_transpose(self, workspace):
         scores = workspace / "en.tsv"

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from lateir import compressed
 from lateir.compressed import (
     BUCKET_SAMPLE_LIMIT,
     Codebook,
@@ -60,14 +61,17 @@ class TestPacking:
 
 class TestDefaultCentroidCount:
     def test_power_of_two(self):
-        for total in (10, 1000, 320_000, 5_000_000):
+        for total in (1, 10, 100, 1000, 320_000, 5_000_000):
             k = default_centroid_count(total)
             assert k & (k - 1) == 0
-            assert k >= 16 * total**0.5 * 0.999
+            assert k <= total  # halved to fit, so train_codebook accepts it
+            assert k >= 16 * total**0.5 * 0.999 or 2 * k > total
 
     def test_examples(self):
         assert default_centroid_count(320_000) == 16384  # 16*sqrt = 9051 -> next pow2
         assert default_centroid_count(1024) == 512  # 16*32 = 512, already a power of two
+        assert default_centroid_count(10) == 8  # 16*sqrt = 51 -> 64, halved to fit 10 tokens
+        assert default_centroid_count(100) == 64  # 160 -> 256, halved to fit 100 tokens
 
 
 class TestTrainCodebook:
@@ -158,6 +162,25 @@ class TestCompress:
                 lo, hi = index.ivf_offsets[c], index.ivf_offsets[c + 1]
                 assert doc in index.ivf_docs[lo:hi]
 
+    def test_bucket_tables_from_seeded_sample_above_limit(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setattr(compressed, "BUCKET_SAMPLE_LIMIT", 64)
+        store = random_store(rng, 40, 8, min_tokens=2, max_tokens=12)
+        codebook = train_codebook(store, k=8, iterations=3, seed=5)
+        index = compress(store, codebook)
+        assign = index.centroid_ids.astype(np.int64)
+        residuals = store.tokens.astype(np.float32) - codebook.centroids[assign]
+        pick = np.random.default_rng(5).choice(len(residuals), 64, replace=False)
+        sample = residuals[np.sort(pick)]
+        for table, qs in ((index.codec.cutoffs, [0.25, 0.5, 0.75]),
+                          (index.codec.values, [0.125, 0.375, 0.625, 0.875])):
+            np.testing.assert_array_equal(table, np.quantile(sample, qs, axis=0).T.astype(np.float32))
+            assert not np.array_equal(table, np.quantile(residuals, qs, axis=0).T.astype(np.float32))
+        assert index.params["bucket_sample_limit"] == 64
+        for name in ("one", "two"):
+            save_compressed(compress(store, train_codebook(store, k=8, iterations=3, seed=5)),
+                            tmp_path / name)
+        assert dir_bytes(tmp_path / "one") == dir_bytes(tmp_path / "two")
+
     def test_token_equal_to_centroid(self, rng):
         # residual is zero, so reconstruction differs from the centroid only
         # by the per-dimension representative offsets
@@ -209,8 +232,6 @@ class TestCompress:
         # threshold fixed from an oracle run on this clustered configuration
         store, _ = family_corpus(rng, 300, 16, 32)
         k = default_centroid_count(store.total_tokens)
-        while k > store.total_tokens:
-            k //= 2
         codebook = train_codebook(store, k=k, iterations=4, seed=0)
         index = compress(store, codebook)
         tokens = np.vstack([m.astype(np.float64) for m in store.entries.values()])
@@ -257,8 +278,6 @@ class TestSearch:
         store, identities = family_corpus(rng, n_docs, tokens, dim, family_size=10)
         if k is None:
             k = default_centroid_count(store.total_tokens)
-            while k > store.total_tokens:
-                k //= 2
         codebook = train_codebook(store, k=k, iterations=4, seed=0)
         return store, compress(store, codebook), identities
 

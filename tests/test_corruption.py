@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from lateir.bm25 import Tokenizer, build_bm25, load_bm25, save_bm25
-from lateir.cli import main
-from lateir.compressed import compress, load_compressed, save_compressed, train_codebook
-from lateir.errors import EngineError, FormatError, ParseError
+from lateir.cli import _sha256_path, main
+from lateir.compressed import compress, load_compressed, save_compressed, search_compressed
+from lateir.compressed import train_codebook
+from lateir.errors import EngineError, FormatError, NonFiniteScore, ParseError
 from lateir.evaluation import load_qrels
-from lateir.exact import build_exact, load_exact, save_exact
+from lateir.exact import build_exact, load_exact, save_exact, search_exact
 from lateir.mining import TeacherScoreTable, read_negatives_jsonl, read_nway_jsonl
 from lateir.ranking import read_trec_run
 from lateir.store import CorpusRecord, load_store, pack_strings, read_corpus_jsonl, read_rows
@@ -177,6 +178,19 @@ def test_mistyped_metadata(indexes, tmp_path, kind, name, key, value):
             LOADERS[kind](work)
 
 
+@pytest.mark.parametrize("key, message", [("dim", "manifest disagrees with embeddings.bin"),
+                                          ("precision", "manifest disagrees with embeddings.bin"),
+                                          ("entry_count", "entry_count disagrees with data")])
+def test_manifest_disagreeing_with_data(indexes, tmp_path, key, message):
+    meta = json.loads((indexes / "store" / "manifest.json").read_bytes())
+    other = {"dim": meta["dim"] + 1, "entry_count": meta["entry_count"] + 1,
+             "precision": {"float16": "float32", "float32": "float16"}[meta["precision"]]}
+    variant = json.dumps({**meta, key: other[key]}).encode("utf-8")
+    for work in _damaged_copies(indexes, tmp_path, "store", "manifest.json", [variant]):
+        with pytest.raises(FormatError, match=message):
+            load_store(work)
+
+
 # --- record 0: an index's parameters as one UTF-8 JSON object ----------------
 
 def _params(indexes, kind) -> bytes:
@@ -225,6 +239,7 @@ def test_damaged_params_cli_exits_2(indexes, tmp_path, kind, capsys):
 @pytest.mark.parametrize(
     "kind, key, value",
     [("bm25", "scheme", "morphemes"), ("bm25", "lowercase", 1), ("bm25", "k1", "0.9"),
+     ("bm25", "k1", float("nan")), ("bm25", "k1", -3), ("bm25", "b", 7),
      ("compressed", "seed", "7"), ("compressed", "seed", True), ("compressed", "nbits", 3)],
 )
 def test_mistyped_params(indexes, tmp_path, kind, key, value, capsys):
@@ -234,6 +249,30 @@ def test_mistyped_params(indexes, tmp_path, kind, key, value, capsys):
             LOADERS[kind](work)
         assert main(_reader_argv(indexes, tmp_path, kind, work)) == 2
         assert str(work) in capsys.readouterr().err
+
+
+# --- a NaN in an index's vectors: exact token rows, compressed bucket values --
+
+NAN_RECORDS = {"exact": 4, "compressed": 3}
+
+
+@pytest.mark.parametrize("kind", NAN_RECORDS)
+def test_search_refuses_non_finite_document_score(indexes, tmp_path, kind, capsys):
+    name, at = dict(CONTAINERS)[kind], NAN_RECORDS[kind]
+    work = tmp_path / kind
+    shutil.copytree(indexes / kind, work)
+    magic, version, arrays = read_container(work / name)
+    arrays[at] = arrays[at].copy()
+    arrays[at][0, 0] = np.nan
+    write_arrays(work / name, magic, version, arrays)
+    query = load_store(indexes / "queries").tokens[:2]
+    search = {"exact": search_exact, "compressed": search_compressed}[kind]
+    with pytest.raises(NonFiniteScore, match="NaN or infinite"):
+        search(LOADERS[kind](work), query, k=3)
+    before = sorted(tmp_path.iterdir())
+    assert main(_reader_argv(indexes, tmp_path, kind, work)) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before  # no run, manifest or temporary file
 
 
 # --- an index directory holds one container, which names its mode -----------
@@ -249,17 +288,23 @@ def test_loader_rejects_other_index_kind(indexes, kind, other):
     assert repr(kind) in message and repr(other) in message
 
 
-@pytest.mark.parametrize("kind", INDEX_KINDS)
-def test_old_format_version_asks_for_rebuild(indexes, tmp_path, kind):
-    # the previous format: the container without its parameters record, and meta.json
+def _previous_format_copy(indexes, tmp_path, kind):
+    """kind's index in the previous format: the container without its parameters
+    record, and meta.json."""
     name, old = dict(CONTAINERS)[kind], INDEX_FORMAT_VERSION - 1
     magic, _, arrays = read_container(indexes / kind / name)
     work = tmp_path / kind
     work.mkdir()
     write_arrays(work / name, magic, old, arrays[1:])
     (work / "meta.json").write_text(json.dumps({"mode": kind, "format_version": old}))
+    return work
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_old_format_version_asks_for_rebuild(indexes, tmp_path, kind):
+    old = INDEX_FORMAT_VERSION - 1
     with pytest.raises(FormatError, match=f"version {old}; rebuild the index"):
-        LOADERS[kind](work)
+        LOADERS[kind](_previous_format_copy(indexes, tmp_path, kind))
 
 
 def test_exact_index_before_format_3_asks_for_rebuild(indexes, tmp_path, capsys):
@@ -295,6 +340,14 @@ def test_save_replaces_another_kinds_index(indexes, tmp_path, kind):
     shutil.copytree(indexes / other, work)
     SAVERS[kind](LOADERS[kind](indexes / kind), work)
     assert dir_bytes(work) == dir_bytes(indexes / kind)
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_rebuild_over_previous_format_leaves_one_file(indexes, tmp_path, kind):
+    work = _previous_format_copy(indexes, tmp_path, kind)
+    SAVERS[kind](LOADERS[kind](indexes / kind), work)
+    assert [p.name for p in work.iterdir()] == [dict(CONTAINERS)[kind]]
+    assert _sha256_path(work) == _sha256_path(indexes / kind)  # as hashed into manifests
 
 
 @pytest.mark.parametrize("kind", INDEX_KINDS)
@@ -356,13 +409,16 @@ TEXT_FILES = {
              '{{"qid": "q{i}", "passages": ["d{i}", "x{i}"], "scores": [1.0, 0.{i}]}}'),
 }
 # invalid JSON; a line that is not an object; a missing or mistyped field;
-# a wrong field count; a non-numeric rank, grade or score
+# a wrong field count; a non-numeric rank, grade or score; a non-finite run or
+# teacher score; a grade outside [0, 1023]; a repeated teacher-score pair
 NOT_OBJECTS = ["[1, 2]", '"q1"', "3.5"]
 BAD_LINES = {
     "corpus": ['{"id": "x", "text": ', *NOT_OBJECTS, '{"id": "x"}', '{"text": "t"}'],
-    "run": ["q1 Q0 x 9 0.5", "q1 Q0 x 9 0.5 t extra", "q1 Q0 x nine 0.5 t", "q1 Q0 x 9 high t"],
-    "qrels": ["q1 0 x", "q1 0 x 1 extra", "q1 0 x high", "q1 0 x 1.5"],
-    "scores": ["q1\tx", "q1\tx\t0.5\textra", "q1\tx\thigh", "q1 x 0.5"],
+    "run": ["q1 Q0 x 9 0.5", "q1 Q0 x 9 0.5 t extra", "q1 Q0 x nine 0.5 t", "q1 Q0 x 9 high t",
+            "q1 Q0 x 9 nan t", "q1 Q0 x 9 -inf t"],
+    "qrels": ["q1 0 x", "q1 0 x 1 extra", "q1 0 x high", "q1 0 x 1.5", "q1 0 x -1", "q1 0 x 1024"],
+    "scores": ["q1\tx", "q1\tx\t0.5\textra", "q1\tx\thigh", "q1 x 0.5", "q1\tx\tnan",
+               "q1\td1\t0.5"],
     "pairs": ["q0\tx\textra", "q0", "q0 x"],
     "negatives": [
         '{"qid": ', *NOT_OBJECTS, '{"positives": ["d1"]}', '{"qid": 7}',

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lateir.errors import DimMismatch, EmptyStore, FormatError
+from lateir.errors import DimMismatch, EmptyStore, FormatError, NonFiniteScore
 from lateir.exact import build_exact, load_exact, save_exact, search_exact
 from lateir.scoring import maxsim
 from lateir.store import EmbeddingStore, StoreManifest
@@ -121,6 +121,14 @@ class TestSearch:
         index = build_exact(store, "float32")
         scores = [s for _, s in search_exact(index, unit_rows(rng, 3, 8), k=40).entries]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
+
+    def test_non_finite_document_refused(self, rng):
+        # a store built from a mapping takes its rows unchecked
+        rows = {f"d{i}": unit_rows(rng, 3, 8).astype(np.float32) for i in range(4)}
+        rows["d1"][2, 0] = np.nan
+        index = build_exact(EmbeddingStore(8, "float32", "document", rows), "float32")
+        with pytest.raises(NonFiniteScore, match="document 1 of 4"):
+            search_exact(index, unit_rows(rng, 2, 8), k=4)
 
     def test_dim_mismatch(self, rng):
         index = build_exact(random_store(rng, 3, 8), "float32")

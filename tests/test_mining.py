@@ -193,7 +193,7 @@ class TestTranspose:
         table = self._table()
         out, dropped = transpose_scores(table, [("q1", "d1"), ("q2", "d9")])
         assert dropped == []
-        assert out.scores == {("q1", "d1"): 3.25, ("q2", "d9"): 0.125}
+        assert out.entries == {("q1", "d1"): (3.25, "3.2500"), ("q2", "d9"): (0.125, "1.25e-1")}
 
     def test_unknown_pairs_dropped_and_reported(self):
         table = self._table()
@@ -201,7 +201,7 @@ class TestTranspose:
             table, [("q1", "d1"), ("qX", "dX"), ("q1", "dZ")]
         )
         assert dropped == [("qX", "dX"), ("q1", "dZ")]
-        assert ("qX", "dX") not in out.scores
+        assert ("qX", "dX") not in out.entries
 
     def test_scores_copied_byte_exactly(self, tmp_path):
         table = self._table()
@@ -223,14 +223,17 @@ class TestTranspose:
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "scores.tsv"
         path.write_text("q1\td1\t1\nq1\td1\t2\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             TeacherScoreTable.from_tsv(path)
+        assert (str(info.value), info.value.line) == ("line 2: duplicate pair ('q1', 'd1')", 2)
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "scores.tsv"
-        path.write_text("q1\td1\tnan\n")
-        with pytest.raises(ParseError):
+        path.write_text("q1\td1\t1\nq1\td2\tnan\n")
+        with pytest.raises(ParseError) as info:
             TeacherScoreTable.from_tsv(path)
+        assert (str(info.value), info.value.line) == (
+            "line 2: non-finite score for pair ('q1', 'd2')", 2)
 
 
 class TestBuildNway:

@@ -14,6 +14,7 @@ from lateir.scoring import (
     kl_distill_loss,
     maxsim,
     maxsim_grad_query,
+    maxsim_per_doc,
 )
 
 from conftest import unit_rows
@@ -107,6 +108,15 @@ class TestMaxsim:
         for rows in (1, 5, 33):
             q = unit_rows(rng, rows, 24)
             assert maxsim(q, q) == pytest.approx(rows, abs=1e-5)
+
+
+class TestMaxsimPerDoc:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_score_refused(self, rng, value):
+        sims = unit_rows(rng, 3, 8) @ unit_rows(rng, 7, 8).T
+        sims[1, 5] = value  # a token of document 2 (columns 3-6)
+        with pytest.raises(NonFiniteScore, match="document 2 of 3"):
+            maxsim_per_doc(sims, np.array([0, 1, 3, 7]))
 
 
 class TestMaxsimGrad:
