@@ -16,7 +16,9 @@ Index directory layout: ``postings.bin``, an array container (magic LIBP, see
 ``store.save_index``) of the parameters (tokenizer ``scheme`` and
 ``lowercase``, ``k1``, ``b``), the sorted terms, int64 posting offsets, doc
 indexes ascending within each term, term frequencies >= 1, then the doc ids.
-Document lengths and avgdl are derived from the postings, never stored.
+In memory an index is these arrays plus one term -> row dict; document lengths
+and avgdl are derived from the postings, never stored, and the per-term
+``postings`` views are built only when first read.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -65,8 +68,8 @@ def tokenize(text: str, t: Tokenizer) -> list[str]:
 @dataclass
 class BM25Index:
     """What postings.bin holds: the postings of terms[i] are docs and tfs at
-    bounds[i]:bounds[i + 1].  The term -> (docs, tfs) views, each document's
-    length (the sum of its tfs) and avgdl are derived in __post_init__."""
+    bounds[i]:bounds[i + 1].  rows (term -> i), doc_lengths (sums of tfs) and avgdl
+    are derived in __post_init__, the term -> (docs, tfs) postings on first read."""
 
     tokenizer: Tokenizer
     k1: float
@@ -76,25 +79,28 @@ class BM25Index:
     bounds: np.ndarray  # (T + 1,) int64 posting offsets
     docs: np.ndarray  # int64 doc indexes
     tfs: np.ndarray  # int64 term frequencies
-    postings: dict[str, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+    rows: dict[str, int] = field(init=False, repr=False)  # term -> its i in terms
     doc_lengths: np.ndarray = field(init=False, repr=False)  # (N,) int64 token counts
     avgdl: float = field(init=False)
 
     def __post_init__(self):
-        docs, tfs, cuts = self.docs, self.tfs, self.bounds.tolist()
-        self.postings = {t: (docs[lo:hi], tfs[lo:hi])
-                         for t, lo, hi in zip(self.terms, cuts, cuts[1:])}
+        self.rows = dict(zip(self.terms, range(len(self.terms))))
         self.doc_lengths = np.zeros(self.n_docs, dtype=np.int64)
-        np.add.at(self.doc_lengths, docs, tfs)  # int64 sums, no float64 copy of tfs
+        np.add.at(self.doc_lengths, self.docs, self.tfs)  # int64 sums, no float64 copy of tfs
         self.avgdl = float(self.doc_lengths.mean()) if self.n_docs else 0.0
+
+    @cached_property
+    def postings(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        cuts = self.bounds.tolist()
+        return {t: (self.docs[i:j], self.tfs[i:j]) for t, i, j in zip(self.terms, cuts, cuts[1:])}
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
     def idf(self, term: str) -> float:
-        entry = self.postings.get(term)
-        df = len(entry[0]) if entry is not None else 0
+        row = self.rows.get(term)
+        df = 0 if row is None else int(self.bounds[row + 1] - self.bounds[row])
         return math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
 
 
@@ -146,10 +152,11 @@ def search_bm25(
     scores = np.zeros(index.n_docs, dtype=np.float64)
     matched = np.zeros(index.n_docs, dtype=bool)
     for term in tokenize(query, t):
-        entry = index.postings.get(term)
-        if entry is None:
+        row = index.rows.get(term)
+        if row is None:
             continue
-        docs, tfs = entry
+        lo, hi = index.bounds[row:row + 2].tolist()
+        docs, tfs = index.docs[lo:hi], index.tfs[lo:hi]
         idf = index.idf(term)
         tf = tfs.astype(np.float64)
         norm = 1.0 - index.b + index.b * index.doc_lengths[docs] / index.avgdl

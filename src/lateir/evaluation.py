@@ -3,7 +3,9 @@
 Conventions (also recorded in every report):
 
 * NDCG gain is 2^grade - 1 with a log2(rank + 1) discount; the ideal DCG
-  ranks all judged documents by grade.
+  ranks all judged documents by grade.  A query whose largest grade exceeds
+  SCALED_GRADE has every gain scaled by 2^(SCALED_GRADE - that grade), which
+  keeps its sums finite and changes no bit of the ratio.
 * MAP@k divides by min(|relevant|, k).
 * Recall@k is |relevant in top k| / |relevant|.
 * MRR@k is 1/rank of the first relevant document within the cutoff.
@@ -33,6 +35,7 @@ from .store import read_rows
 
 METRICS = ("ndcg", "recall", "map", "mrr")
 MAX_GRADE = 1023  # the gain 2^grade - 1 of grade 1024 is not a finite float64
+SCALED_GRADE = 960  # gains of at most 2^960 sum over 2^63 documents without overflow
 
 CONVENTIONS = {
     "gain": "2^grade - 1",
@@ -89,18 +92,20 @@ def load_qrels(path: str | Path) -> Qrels:
     return qrels
 
 
-def _gain(grade: int) -> float:
-    return float(2**grade - 1)
+def _gain(grade: int, shift: int) -> float:
+    """(2^grade - 1) * 2^-shift; a power-of-two scale is exact while no gain underflows."""
+    return math.ldexp(float(2**grade - 1), -shift)
 
 
 def ndcg_at_k(run: RankedList, judgments: Mapping[str, int], k: int) -> float:
     """DCG over the top k divided by the ideal DCG of all judged documents."""
     ideal = sorted(judgments.values(), reverse=True)
-    idcg = sum(_gain(g) / math.log2(i + 2) for i, g in enumerate(ideal[:k]))
+    shift = max(ideal[0] - SCALED_GRADE, 0) if ideal else 0
+    idcg = sum(_gain(g, shift) / math.log2(i + 2) for i, g in enumerate(ideal[:k]))
     if idcg == 0.0:
         return 0.0
     dcg = sum(
-        _gain(judgments.get(doc_id, 0)) / math.log2(i + 2)
+        _gain(judgments.get(doc_id, 0), shift) / math.log2(i + 2)
         for i, (doc_id, _) in enumerate(run.entries[:k])
     )
     return dcg / idcg

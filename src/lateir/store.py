@@ -227,9 +227,11 @@ def _replacing_files(directory: str | Path, names: Sequence[str]):
 
 
 def write_json(path: str | Path, obj) -> None:
-    """Pretty-printed, key-sorted JSON plus a newline, so equal objects give equal bytes."""
+    """Pretty-printed, key-sorted JSON plus a newline, so equal objects give equal bytes;
+    ValueError, leaving any previous file, if obj holds a NaN or infinity."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with _replacing(path) as fh:
-        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+        fh.write(text.encode("utf-8"))
 
 
 def read_json(path: str | Path, keys: Mapping[str, type | tuple[type, ...]]) -> dict:
@@ -343,11 +345,12 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 def write_jsonl(path: str | Path, objs: Iterable[dict]) -> int:
-    """One ensure_ascii=False JSON object per line; returns the count."""
+    """One ensure_ascii=False JSON object per line; returns the count.  ValueError,
+    leaving any previous file, if an object holds a NaN or infinity."""
     count = 0
     with _replacing(path, text=True) as fh:
         for obj in objs:
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(obj, ensure_ascii=False, allow_nan=False) + "\n")
             count += 1
     return count
 

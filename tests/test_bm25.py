@@ -136,6 +136,60 @@ class TestBuild:
             assert index.idf(term) >= 0.0
 
 
+class TestArrays:
+    """An index is its arrays plus rows; postings is a view built on first read."""
+
+    QUERIES = ("abcd", "ghij kl", "zz", "", "ab ab ef")
+
+    @pytest.fixture(params=["built", "loaded"])
+    def case(self, request, tmp_path, rng):
+        corpus = random_corpus(rng, 30) + [CorpusRecord("empty", " ")]
+        t = Tokenizer("char_bigram")
+        index = build_bm25(corpus, t)
+        if request.param == "loaded":
+            save_bm25(index, tmp_path / "bm25")
+            index = load_bm25(tmp_path / "bm25")
+        return corpus, t, index
+
+    def test_search_and_idf_never_build_postings(self, case):
+        corpus, t, index = case
+        for query in self.QUERIES:
+            search_bm25(index, query, t, k=len(corpus))
+        for term in [*index.terms, "qq"]:
+            index.idf(term)
+        assert "postings" not in vars(index)
+
+    def test_idf_bit_identical_to_reference(self, case):
+        corpus, t, index = case
+        tokens = [set(tokenize(r.text, t)) for r in corpus]
+        for term in [*index.terms, "qq"]:
+            df = 0
+            for doc in tokens:  # reference count: documents holding the term
+                df += term in doc
+            n = len(corpus)
+            assert index.idf(term) == math.log((n - df + 0.5) / (df + 0.5) + 1.0), term
+
+    def test_rows_number_the_terms(self, case):
+        _, _, index = case
+        assert len(index.rows) == len(index.terms)
+        for i, term in enumerate(index.terms):
+            assert index.rows[term] == i
+
+    @pytest.mark.parametrize("n_docs", [0, 12])
+    def test_postings_are_the_slices_once_read(self, tmp_path, rng, n_docs):
+        built = build_bm25(random_corpus(rng, n_docs), Tokenizer())
+        save_bm25(built, tmp_path / "bm25")
+        for index in (built, load_bm25(tmp_path / "bm25")):
+            postings = index.postings
+            assert list(postings) == index.terms
+            for i, term in enumerate(index.terms):
+                lo, hi = index.bounds[i], index.bounds[i + 1]
+                docs, tfs = postings[term]
+                assert np.array_equal(docs, index.docs[lo:hi])
+                assert np.array_equal(tfs, index.tfs[lo:hi])
+            assert vars(index)["postings"] is postings is index.postings
+
+
 class TestSearch:
     def test_unique_match_ranked_first(self):
         corpus = [

@@ -1,9 +1,11 @@
 """IR metrics against hand-computed fixtures and a naive reference."""
 
+import json
 import math
 
 import pytest
 
+from lateir.cli import main
 from lateir.errors import ParseError
 from lateir.evaluation import (
     MetricSpec,
@@ -100,6 +102,25 @@ class TestNdcg:
     def test_no_relevant_scores_zero(self):
         assert ndcg_at_k(run_of(["a"]), {}, 10) == 0.0
         assert ndcg_at_k(run_of(["a"]), {"a": 0}, 10) == 0.0
+
+    def test_largest_grades_do_not_overflow(self):
+        judgments = {"a": 1023, "b": 1023, "c": 1023}
+        assert ndcg_at_k(run_of(["a", "b", "c"]), judgments, 10) == 1.0
+        got = ndcg_at_k(run_of(["x", "a", "b", "c"]), judgments, 10)
+        discounts = [1 / math.log2(i + 2) for i in range(4)]
+        assert got == pytest.approx(sum(discounts[1:]) / sum(discounts[:3]), rel=1e-12)
+
+    @pytest.mark.parametrize("grades", [(961, 3, 1), (1000, 999, 2), (1023, 1, 0)])
+    def test_scaled_gains_keep_every_bit(self, grades):
+        # none of these sums overflows unscaled, so scaling may change no bit
+        judgments = dict(zip("abc", grades))
+        run = run_of(["c", "x", "a", "b"])
+
+        def dcg(gs):
+            return sum(float(2**g - 1) / math.log2(i + 2) for i, g in enumerate(gs))
+
+        want = dcg([judgments.get(d, 0) for d, _ in run.entries]) / dcg(sorted(grades)[::-1])
+        assert ndcg_at_k(run, judgments, 10) == want
 
 
 class TestRecall:
@@ -280,6 +301,18 @@ class TestEvaluate:
         )
         report = evaluate(tmp_path / "run.trec", qrels_path, [MetricSpec.parse("ndcg@10")])
         assert any("rank column" in w for w in report["warnings"])
+
+    def test_largest_grades_report_is_strict_json(self, tmp_path):
+        def reject(name):
+            raise ValueError(f"non-standard constant {name}")
+
+        (tmp_path / "qrels.txt").write_text("q1 0 a 1023\nq1 0 b 1023\nq1 0 c 1023\n")
+        write_trec_run(tmp_path / "run.trec", [run_of(["a", "b", "c"])], tag="t")
+        assert main(["eval", "--run", str(tmp_path / "run.trec"),
+                     "--qrels", str(tmp_path / "qrels.txt"), "--metric", "ndcg@10",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert report["metrics"]["ndcg@10"]["mean"] == 1.0
 
     def test_conventions_recorded(self):
         report = evaluate({}, {}, [MetricSpec.parse("ndcg@10")])

@@ -1,6 +1,7 @@
 """Embedding store: normalization, binary format, precision casts."""
 
 import json
+import math
 import re
 import struct
 from pathlib import Path
@@ -728,6 +729,18 @@ class TestMetadataJson:
         with pytest.raises(OSError):
             write_json(path, {"a": 2})
         assert json.loads(path.read_text()) == {"a": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("writer", [write_json, lambda path, obj: write_jsonl(path, [{}, obj])],
+                             ids=["json", "jsonl"])
+    def test_non_finite_number_rejected(self, tmp_path, writer, value):
+        path = tmp_path / "m.json"
+        path.write_text("old\n")
+        with pytest.raises(ValueError, match="JSON compliant"):
+            writer(path, {"mean": value})
+        assert path.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
