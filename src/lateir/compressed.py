@@ -8,11 +8,14 @@ assigned centroid.  Residuals are bucketed per dimension at the quartiles of
 the corpus residual distribution; each bucket reconstructs to its
 midpoint-of-bucket quantile.  Codes pack 4 per byte.
 
-Search runs in three stages: (1) probe the `nprobe` nearest centroids per
-query token and collect the documents on their inverted lists, (2) cap the
-candidate set by an approximate score computed over centroids only, (3)
-rerank the survivors by exact maxsim over ``CompressedIndex.decode``, the one
-reconstruction: centroid plus each dimension's bucket value, unit-normalized.
+Search runs in three stages: (1) probe the `nprobe` most similar centroids
+per query token, ties to the lowest centroid id, and collect the documents on
+their inverted lists, (2) keep the `candidate_cap` candidates with the best
+approximate score computed over centroids only, ties to the lowest document
+index, (3) rerank the survivors by exact maxsim over ``CompressedIndex.decode``,
+the one reconstruction: centroid plus each dimension's bucket value,
+unit-normalized.  Stages 1 and 2 select by partition (``_largest``), never by
+a full sort.
 
 The inverted lists hold each document once per centroid it has a token
 on, in ascending order; ``CompressedIndex`` derives them from the centroid
@@ -245,6 +248,21 @@ def _inverted_lists(centroid_ids: np.ndarray, token_doc: np.ndarray, k: int):
     return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64), docs[keep]
 
 
+def _largest(values: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the n largest entries along the last axis, ties to the lowest index: the
+    entries a stable argsort(-values)[..., :n] picks, found by one partition."""
+    width = values.shape[-1]
+    if n >= width:
+        return np.ones(values.shape, dtype=bool)
+    kth = np.partition(values, width - n, axis=-1)[..., width - n, None]  # the n-th largest
+    chosen = values >= kth
+    if (chosen.sum(axis=-1) == n).all():
+        return chosen
+    tied = values == kth  # a tie straddles the n-th value: keep its lowest indexes
+    room = n - (chosen & ~tied).sum(axis=-1, keepdims=True)
+    return chosen & (~tied | (np.cumsum(tied, axis=-1) <= room))
+
+
 def search_compressed(
     index: CompressedIndex,
     q: np.ndarray,
@@ -262,13 +280,11 @@ def search_compressed(
 
     centroids64 = index.codebook.centroids.astype(np.float64)
     qsims = q @ centroids64.T  # (q_tokens, K)
-    nprobe = min(nprobe, index.codebook.k)
-    probed = np.argsort(-qsims, axis=1, kind="stable")[:, :nprobe]
+    probed = np.flatnonzero(_largest(qsims, nprobe).any(axis=0))
 
     # stage 1: all documents appearing on the probed centroids' inverted lists
     pieces = [
-        index.ivf_docs[index.ivf_offsets[c] : index.ivf_offsets[c + 1]]
-        for c in np.unique(probed)
+        index.ivf_docs[index.ivf_offsets[c] : index.ivf_offsets[c + 1]] for c in probed
     ]
     candidates = np.unique(np.concatenate(pieces))
     if candidates.size == 0:
@@ -278,8 +294,7 @@ def search_compressed(
     if candidates.size > candidate_cap:
         flat, bounds = index.rows_of(candidates)
         approx = maxsim_per_doc(qsims[:, index.centroid_ids[flat].astype(np.int64)], bounds)
-        keep = np.argsort(-approx, kind="stable")[:candidate_cap]
-        candidates = np.sort(candidates[keep])
+        candidates = candidates[_largest(approx, candidate_cap)]
 
     # stage 3: decode the candidates' tokens and rerank by exact maxsim
     flat, bounds = index.rows_of(candidates)
@@ -304,6 +319,8 @@ def load_compressed(directory: str | Path) -> CompressedIndex:
         directory, "compressed", keys, records)
     check_format(params["nbits"] == 2, path, f"nbits {params['nbits']}, expected 2")
     check_format(centroids.ndim == 2, path, f"centroids of shape {centroids.shape}")
+    # a NaN centroid never ranks among a token's nearest, so its documents would be lost
+    check_format(np.isfinite(centroids).all(), path, "a centroid value is NaN or infinite")
     (k, dim), total = centroids.shape, table.total_tokens
     shapes = (cutoffs.shape, values.shape, centroid_ids.shape, packed.shape)
     want = ((dim, 3), (dim, 4), (total,), (total, (dim + 3) // 4))

@@ -5,10 +5,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lateir import compressed
 from lateir.compressed import (
     BUCKET_SAMPLE_LIMIT,
+    _largest,
     Codebook,
     CompressedIndex,
     ResidualCodec,
@@ -23,8 +27,9 @@ from lateir.compressed import (
 )
 from lateir.errors import BadCentroidId, DimMismatch, EmptyStore, FormatError, InsufficientTokens
 from lateir.exact import build_exact, save_exact, search_exact
+from lateir.ranking import ranked_from_scores
 from lateir.store import EmbeddingStore
-from lateir.scoring import maxsim
+from lateir.scoring import check_query, maxsim, maxsim_per_doc
 from conftest import (
     BAD_QUERIES,
     dir_bytes,
@@ -39,6 +44,64 @@ from conftest import (
     store_with_empty_doc,
     unit_rows,
 )
+
+
+def _stable_top(values: np.ndarray, n: int) -> np.ndarray:
+    """The oracle for _largest: the n entries a stable argsort(-values) puts first."""
+    mask = np.zeros(values.shape, dtype=bool)
+    np.put_along_axis(mask, np.argsort(-values, axis=-1, kind="stable")[..., :n], True, axis=-1)
+    return mask
+
+
+def _argsort_search(index, q, k, nprobe, candidate_cap):
+    """search_compressed with the probe and the cap chosen by a full stable argsort,
+    as the oracle for the partition that replaced it."""
+    q = check_query(q, index.codebook.dim)
+    qsims = q @ index.codebook.centroids.astype(np.float64).T
+    probed = np.argsort(-qsims, axis=1, kind="stable")[:, : min(nprobe, index.codebook.k)]
+    candidates = np.unique(np.concatenate(
+        [index.ivf_docs[index.ivf_offsets[c] : index.ivf_offsets[c + 1]] for c in np.unique(probed)]
+    ))
+    if candidates.size > candidate_cap:
+        flat, bounds = index.rows_of(candidates)
+        approx = maxsim_per_doc(qsims[:, index.centroid_ids[flat].astype(np.int64)], bounds)
+        candidates = np.sort(candidates[np.argsort(-approx, kind="stable")[:candidate_cap]])
+    flat, bounds = index.rows_of(candidates)
+    scores = maxsim_per_doc(q @ index.decode(flat).astype(np.float64).T, bounds)
+    return ranked_from_scores("", [index.doc_ids[c] for c in candidates], scores, k=k)
+
+
+# small-integer floats, so that ties are frequent; some rows all equal
+_ROWS = st.sampled_from([(), (1,), (2,), (3,)])  # () is a 1-d array
+_TIED = st.tuples(_ROWS, st.integers(1, 9)).flatmap(
+    lambda shape: st.one_of(
+        hnp.arrays(np.float64, (*shape[0], shape[1]), elements=st.integers(-2, 2).map(float)),
+        st.integers(-2, 2).map(lambda v: np.full((*shape[0], shape[1]), float(v))),
+    )
+)
+
+
+class TestLargest:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_TIED, st.integers(1, 10))
+    @example(np.array([3.0, 1.0, 2.0, 0.0]), 2)  # no tie at the cut
+    @example(np.array([[2.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]]), 2)  # ties straddle it
+    def test_matches_stable_argsort(self, values, n):
+        width = values.shape[-1]
+        for size in {1, width - 1, width, width + 1, n} - {0}:
+            np.testing.assert_array_equal(_largest(values, size), _stable_top(values, size),
+                                          err_msg=f"n = {size}")
+
+    def test_tie_pass_runs_only_when_a_tie_straddles_the_cut(self, monkeypatch):
+        calls = []
+        cumsum = np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda *a, **kw: calls.append(1) or cumsum(*a, **kw))
+        assert _largest(np.array([3.0, 1.0, 2.0, 0.0]), 2).tolist() == [True, False, True, False]
+        assert _largest(np.array([[2.0, 2.0, 1.0], [0.0, 5.0, 5.0]]), 2).tolist() == [
+            [True, True, False], [False, True, True]]
+        assert calls == []
+        assert _largest(np.array([2.0, 1.0, 1.0, 0.0]), 2).tolist() == [True, True, False, False]
+        assert calls == [1]
 
 
 class TestPacking:
@@ -339,6 +402,40 @@ class TestSearch:
             overlaps.append(total / len(queries))
         assert overlaps[2] >= overlaps[0]
         assert overlaps[2] >= 0.9
+
+    def test_probe_tie_goes_to_the_lowest_centroid_id(self):
+        # centroid 2 duplicates centroid 1: compress puts every token on 1, so 2's list is empty
+        dim = 8
+        centroids = np.eye(dim, dtype=np.float32)[[0, 1, 1, 2, 3]]
+        matrices = {f"d{i}": np.eye(dim)[[i % 4]] + 0.1 * np.eye(dim)[[4 + i % 4]]
+                    for i in range(8)}
+        index = compress(store_from_matrices(matrices), Codebook(centroids=centroids, seed=0))
+        lists = np.diff(index.ivf_offsets)
+        assert lists[1] > 0 and lists[2] == 0
+        q = np.eye(dim)[[1]] + 0.2 * np.eye(dim)[[5]]  # as similar to centroid 1 as to 2
+        for nprobe in (1, 2, 4, 5, 9):
+            got = search_compressed(index, q, k=8, nprobe=nprobe, candidate_cap=8)
+            assert got.entries == _argsort_search(index, q, 8, nprobe, 8).entries
+        # with nprobe 1, a tie going to centroid 2 would probe its empty list and find nothing
+        got = search_compressed(index, q, k=8, nprobe=1, candidate_cap=8)
+        assert sorted(got.doc_ids()) == ["d1", "d5"]
+
+    def test_cap_tie_goes_to_the_lowest_document_index(self):
+        # e0..e3 are the centroids; "top" scores highest over centroids alone, and
+        # t0..t5 share one centroid-id sequence, so their centroid-only scores tie
+        dim = 8
+        centroids = np.eye(dim, dtype=np.float32)[:4]
+        matrices = {"top": np.eye(dim)[[0, 1, 2]]}
+        for i in range(6):
+            noise = 0.05 * (i + 1) * np.eye(dim)[[4 + i % 4, 5 + i % 3]]
+            matrices[f"t{i}"] = np.eye(dim)[[1, 2]] + noise
+        index = compress(store_from_matrices(matrices), Codebook(centroids=centroids, seed=0))
+        assert index.centroid_ids[3:].reshape(6, 2).tolist() == [[1, 2]] * 6
+        q = np.eye(dim)[[0, 1, 2]]
+        for cap in (1, 2, 3, 5, 6, 7):
+            got = search_compressed(index, q, k=cap, nprobe=4, candidate_cap=cap)
+            assert got.entries == _argsort_search(index, q, cap, 4, cap).entries
+            assert sorted(got.doc_ids()) == sorted(index.doc_ids[:cap])  # lowest indexes survive
 
     def test_candidate_cap_respected(self, rng):
         store, index, _ = self._built(rng)

@@ -275,6 +275,24 @@ def test_search_refuses_non_finite_document_score(indexes, tmp_path, kind, capsy
     assert sorted(tmp_path.iterdir()) == before  # no run, manifest or temporary file
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_centroid_rejected_at_load(indexes, tmp_path, value, capsys):
+    # a NaN centroid is never among a query token's most similar, so its documents
+    # would drop out of every search unnoticed
+    work = tmp_path / "compressed"
+    shutil.copytree(indexes / "compressed", work)
+    magic, version, arrays = read_container(work / "residuals.bin")
+    arrays[1] = arrays[1].copy()  # the (K, dim) centroids
+    arrays[1][3, 0] = value
+    write_arrays(work / "residuals.bin", magic, version, arrays)
+    with pytest.raises(FormatError, match="residuals.bin.*centroid value is NaN or infinite"):
+        load_compressed(work)
+    before = sorted(tmp_path.iterdir())
+    assert main(_reader_argv(indexes, tmp_path, "compressed", work)) == 2
+    assert "centroid value is NaN or infinite" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before  # no run, manifest or temporary file
+
+
 # --- an index directory holds one container, which names its mode -----------
 
 
