@@ -41,31 +41,28 @@ from .compressed import (
     search_compressed,
     train_codebook,
 )
-from .errors import (
-    ConfigError,
-    EngineError,
-    InsufficientCandidates,
-    MissingTeacherScore,
-)
-from .evaluation import MetricSpec, evaluate, load_qrels
+from .errors import ConfigError, EngineError
+from .evaluation import MetricSpec, evaluate, load_qrels, relevant
 from .exact import build_exact, load_exact, save_exact, search_exact
 from .mining import (
+    BM25_SAMPLES,
     DEFAULT_NWAY,
-    NEGATIVE_KEYS,
+    DENSE_SAMPLES,
     MiningConfig,
     TeacherScoreTable,
-    build_nway,
+    assemble_nway,
     mine_bm25,
     mine_dense,
     read_negatives_jsonl,
     transpose_scores,
+    write_negatives_jsonl,
     write_nway_jsonl,
 )
 from .ranking import run_lists_from_trec, write_trec_run
 from .scoring import maxsim
 from .store import EMBEDDING_FORMAT_VERSION, INDEX_FORMAT_VERSION, EmbeddingStore, index_mode
 from .store import ingest_embeddings, load_store, read_corpus_jsonl, read_rows, save_store
-from .store import write_json, write_jsonl, write_rows
+from .store import write_json, write_rows
 
 FORMAT_VERSIONS = {"embedding": EMBEDDING_FORMAT_VERSION, "index": INDEX_FORMAT_VERSION}
 
@@ -265,15 +262,19 @@ def cmd_search(o: dict) -> Result:
 
 
 def cmd_score(o: dict) -> Result:
+    """Score each distinct pair of --pairs once, in first-seen order."""
     query_store = _load_store_of(o, "query-store", "query")
     doc_store = _load_store_of(o, "doc-store", "document")
-    rows = []
+    scores: dict[tuple[str, str], str] = {}
     for lineno, (qid, did) in read_rows(o["pairs"], 2, sep="\t"):
+        if (qid, did) in scores:
+            continue
         if qid not in query_store.entries:
             raise ConfigError(f"{o['pairs']}:{lineno}: unknown query id {qid!r}")
         if did not in doc_store.entries:
             raise ConfigError(f"{o['pairs']}:{lineno}: unknown document id {did!r}")
-        rows.append((qid, did, repr(maxsim(query_store.entries[qid], doc_store.entries[did]))))
+        scores[qid, did] = repr(maxsim(query_store.entries[qid], doc_store.entries[did]))
+    rows = [(qid, did, score) for (qid, did), score in scores.items()]
     if not o["out"]:
         sys.stdout.writelines("\t".join(row) + "\n" for row in rows)
         return None
@@ -306,34 +307,18 @@ def cmd_bm25_search(o: dict) -> Result:
 def cmd_mine(o: dict) -> Result:
     """`mine dense` mines the --runs file, `mine bm25` searches --index for --queries."""
     kind = "dense" if "runs" in o else "bm25"
-    qrels = load_qrels(o["positives"])
-    positives = {qid: {d for d, g in judged.items() if g > 0} for qid, judged in qrels.items()}
-    # both counts take --samples, so the other recipe's default is not checked against the pool
-    cfg = MiningConfig(
-        retrieve_depth=o["retrieve_depth"],
-        discard_top=o["discard_top"],
-        sample_count_dense=o["samples"],
-        sample_count_bm25=o["samples"],
-        seed=o["seed"],
-    )
+    positives = {qid: relevant(judged) for qid, judged in load_qrels(o["positives"]).items()}
+    cfg = MiningConfig(retrieve_depth=o["retrieve_depth"], discard_top=o["discard_top"],
+                       seed=o["seed"])
     if kind == "dense":
         runs, _ = run_lists_from_trec(o["runs"])
-        negatives = mine_dense(runs.keys(), runs, positives, cfg)
+        negatives = mine_dense(runs.keys(), runs, positives, cfg, o["samples"])
     else:
         queries = {q.id: q.text for q in read_corpus_jsonl(o["queries"])}
-        negatives = mine_bm25(queries, load_bm25(o["index"]), positives, cfg)
-    rows = [
-        {
-            "qid": qid,
-            "positives": sorted(positives.get(qid, ())),
-            f"{kind}_negatives": negs,
-            "seed": cfg.seed,
-        }
-        for qid, negs in negatives.items()
-    ]
+        negatives = mine_bm25(queries, load_bm25(o["index"]), positives, cfg, o["samples"])
     out = Path(o["out"])
-    write_jsonl(out, rows)
-    _say(f"mined {kind} negatives for {len(rows)} queries into {out}")
+    write_negatives_jsonl(out, kind, negatives, positives, cfg.seed)
+    _say(f"mined {kind} negatives for {len(negatives)} queries into {out}")
     return out, {"retrieve_depth": cfg.retrieve_depth, "discard_top": cfg.discard_top,
                  "samples": o["samples"], "seed": cfg.seed}
 
@@ -351,46 +336,8 @@ def cmd_transpose(o: dict) -> Result:
 def cmd_nway(o: dict) -> Result:
     table = TeacherScoreTable.from_tsv(o["scores"])
     keep_set = frozenset(did for _, (did,) in read_rows(o["keep"], 1)) if o["keep"] else frozenset()
-
-    # merge candidate files per query: positives once each in first-seen order,
-    # negatives lists concatenated in file order
-    positives: dict[str, dict[str, None]] = {}
-    negatives: dict[str, list[str]] = {}
-    for path in o["candidates"]:
-        for row in read_negatives_jsonl(path):
-            positives.setdefault(row["qid"], {}).update(dict.fromkeys(row.get("positives") or []))
-            negatives.setdefault(row["qid"], []).extend(
-                did for key in NEGATIVE_KEYS for did in row.get(key) or [])
-
-    examples = []
-    skipped: list[tuple[str, str]] = []
-    for qid, known_positives in positives.items():
-        if not known_positives:
-            skipped.append((qid, "no positive"))
-            continue
-        positive = next(iter(known_positives))
-        pos_score = table.get(qid, positive)
-        if pos_score is None:
-            skipped.append((qid, f"no teacher score for positive {positive}"))
-            continue
-        candidates = []
-        for did in negatives[qid]:
-            if did in known_positives:
-                continue
-            score = table.get(qid, did)
-            if score is None:
-                skipped.append((qid, f"no teacher score for candidate {did}"))
-                continue
-            candidates.append((did, score))
-        try:
-            examples.append(
-                build_nway(
-                    qid, positive, pos_score, candidates,
-                    n=o["n"], keep_set=keep_set, seed=o["seed"],
-                )
-            )
-        except (InsufficientCandidates, MissingTeacherScore) as exc:
-            skipped.append((qid, str(exc)))
+    rows = [row for path in o["candidates"] for row in read_negatives_jsonl(path)]
+    examples, skipped = assemble_nway(rows, table, o["n"], keep_set, o["seed"])
     out = Path(o["out"])
     write_nway_jsonl(out, examples)
     write_rows(Path(o["skipped"]) if o["skipped"] else Path(str(out) + ".skipped.tsv"), skipped)
@@ -493,7 +440,7 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], Result]]] = {
             Opt("out", required=True, help="output negatives JSONL"),
             Opt("retrieve-depth", type=int, default=110),
             Opt("discard-top", type=int, default=10),
-            Opt("samples", type=int, default=25),
+            Opt("samples", type=int, default=DENSE_SAMPLES),
             Opt("seed", type=int, default=42),
         ],
         cmd_mine,
@@ -506,7 +453,7 @@ COMMANDS: dict[str, tuple[list[Opt], Callable[[dict], Result]]] = {
             Opt("out", required=True),
             Opt("retrieve-depth", type=int, default=110),
             Opt("discard-top", type=int, default=10),
-            Opt("samples", type=int, default=10),
+            Opt("samples", type=int, default=BM25_SAMPLES),
             Opt("seed", type=int, default=42),
         ],
         cmd_mine,

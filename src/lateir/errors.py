@@ -55,10 +55,6 @@ class DuplicateDocId(EngineError):
     """The same document id appeared twice in one corpus."""
 
 
-class EmptyRanking(EngineError):
-    """A ranking was too short to survive the discard window."""
-
-
 class MissingRun(EngineError):
     """No retrieval run was supplied for a query that needs one."""
 

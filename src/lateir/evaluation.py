@@ -92,6 +92,11 @@ def load_qrels(path: str | Path) -> Qrels:
     return qrels
 
 
+def relevant(judgments: Mapping[str, int]) -> set[str]:
+    """The judged documents whose grade is > 0."""
+    return {doc_id for doc_id, grade in judgments.items() if grade > 0}
+
+
 def _gain(grade: int, shift: int) -> float:
     """(2^grade - 1) * 2^-shift; a power-of-two scale is exact while no gain underflows."""
     return math.ldexp(float(2**grade - 1), -shift)
@@ -112,30 +117,30 @@ def ndcg_at_k(run: RankedList, judgments: Mapping[str, int], k: int) -> float:
 
 
 def recall_at_k(run: RankedList, judgments: Mapping[str, int], k: int) -> float:
-    relevant = {d for d, g in judgments.items() if g > 0}
-    if not relevant:
+    wanted = relevant(judgments)
+    if not wanted:
         return 0.0
-    hit = sum(1 for doc_id, _ in run.entries[:k] if doc_id in relevant)
-    return hit / len(relevant)
+    hit = sum(1 for doc_id, _ in run.entries[:k] if doc_id in wanted)
+    return hit / len(wanted)
 
 
 def map_at_k(run: RankedList, judgments: Mapping[str, int], k: int) -> float:
-    relevant = {d for d, g in judgments.items() if g > 0}
-    if not relevant:
+    wanted = relevant(judgments)
+    if not wanted:
         return 0.0
     hits = 0
     precision_sum = 0.0
     for i, (doc_id, _) in enumerate(run.entries[:k], start=1):
-        if doc_id in relevant:
+        if doc_id in wanted:
             hits += 1
             precision_sum += hits / i
-    return precision_sum / min(len(relevant), k)
+    return precision_sum / min(len(wanted), k)
 
 
 def mrr_at_k(run: RankedList, judgments: Mapping[str, int], k: int) -> float:
-    relevant = {d for d, g in judgments.items() if g > 0}
+    wanted = relevant(judgments)
     for i, (doc_id, _) in enumerate(run.entries[:k], start=1):
-        if doc_id in relevant:
+        if doc_id in wanted:
             return 1.0 / i
     return 0.0
 
@@ -171,9 +176,7 @@ def evaluate(
     judged = sorted(qrels)
     unanswered = [qid for qid in judged if qid not in runs or len(runs[qid]) == 0]
     unjudged = sorted(set(runs) - set(qrels))
-    zero_relevant = [
-        qid for qid in judged if not any(g > 0 for g in qrels[qid].values())
-    ]
+    zero_relevant = [qid for qid in judged if not relevant(qrels[qid])]
     if unanswered:
         warnings.append(f"{len(unanswered)} judged queries have no results: {unanswered}")
     if unjudged:

@@ -1,11 +1,17 @@
 """Hard-negative mining and n-way training-example construction.
 
-Both mining recipes share one windowing rule: retrieve deep (110 by
-default), discard the top 10 ranks as likely unlabeled positives, then
-sample uniformly without replacement from the next 100 — 25 negatives per
-query for the dense recipe, 10 for the BM25 recipe.  Annotated positives
-are excluded from the pool outright.  A query whose ranking has no more
-than 10 entries gets no negatives; the rest of the batch is unaffected.
+Every training-data rule lives here; the CLI's `mine` and `nway` stages
+only read, call and write.
+
+Both mining recipes share one windowing rule (`MiningConfig`): retrieve deep
+(110 by default), discard the top 10 ranks as likely unlabeled positives,
+then sample uniformly without replacement from the next 100.  The sample
+count is the recipe's: DENSE_SAMPLES (25) per query for `mine_dense`,
+BM25_SAMPLES (10) for `mine_bm25`.  Annotated positives are excluded from
+the pool outright.  A query whose ranking has no more than 10 entries gets
+no negatives; the rest of the batch is unaffected.  A negative discard, a
+discard not below the depth, or a sample count outside [0, pool] is a
+ValueError.
 
 Sampling uses stdlib ``random.Random`` seeded per query from
 (global seed, query id), so output is reproducible byte-for-byte and
@@ -15,7 +21,8 @@ Teacher scores ride along as a (query id, document id) -> score table.
 Transposition copies scores onto a translated pair universe that shares the
 same id space; pairs with no source score are reported, never fabricated.
 An n-way example is one query with a positive at index 0 plus n-1 distinct
-negatives, each carrying its teacher score.
+negatives, each carrying a finite teacher score.  `assemble_nway` merges
+mined rows per query and reports each query it skips, with the reason.
 
 Teacher-score TSV, mined negatives and n-way JSONL go through the line
 helpers in ``store``: a malformed line or a missing or mistyped field raises
@@ -32,33 +39,25 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .bm25 import BM25Index, search_bm25
-from .errors import (
-    EmptyRanking,
-    InsufficientCandidates,
-    MissingRun,
-    MissingTeacherScore,
-    ParseError,
-)
+from .errors import InsufficientCandidates, MissingRun, MissingTeacherScore, ParseError
 from .ranking import RankedList
 from .store import read_jsonl, read_rows, write_jsonl, write_rows
 
 DEFAULT_NWAY = 32
+DENSE_SAMPLES = 25
+BM25_SAMPLES = 10
 
 
 @dataclass
 class MiningConfig:
     retrieve_depth: int = 110
     discard_top: int = 10
-    sample_count_dense: int = 25
-    sample_count_bm25: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if self.discard_top >= self.retrieve_depth:
-            raise ValueError("discard_top must be < retrieve_depth")
-        pool = self.retrieve_depth - self.discard_top
-        if self.sample_count_dense > pool or self.sample_count_bm25 > pool:
-            raise ValueError("sample counts must be <= retrieve_depth - discard_top")
+        if not 0 <= self.discard_top < self.retrieve_depth:
+            raise ValueError(f"discard_top {self.discard_top} and retrieve_depth "
+                             f"{self.retrieve_depth}: need 0 <= discard_top < retrieve_depth")
 
     @property
     def pool_size(self) -> int:
@@ -83,19 +82,17 @@ def mine_window(
 
     Discards the top `discard_top` ranks, removes annotated positives from
     the remaining pool, and samples `sample_count` ids uniformly without
-    replacement.  A pool smaller than `sample_count` is returned whole.
+    replacement.  A pool smaller than `sample_count` is returned whole, so a
+    ranking of `discard_top` entries or fewer gives [].
     """
-    if sample_count > pool_size:
-        raise ValueError("sample_count must be <= pool_size")
-    if len(ranked.entries) < discard_top + 1:
-        raise EmptyRanking(
-            f"ranking for {ranked.query_id!r} has {len(ranked.entries)} entries, "
-            f"need more than {discard_top}"
-        )
+    if discard_top < 0:
+        raise ValueError(f"discard_top {discard_top} is negative")
+    if not 0 <= sample_count <= pool_size:
+        raise ValueError(f"sample count {sample_count} outside [0, {pool_size}]")
     window = ranked.entries[discard_top : discard_top + pool_size]
     pool = [doc_id for doc_id, _ in window if doc_id not in positives]
     if len(pool) <= sample_count:
-        return list(pool)
+        return pool
     return random.Random(seed).sample(pool, sample_count)
 
 
@@ -104,24 +101,14 @@ def _mine(
     runs: Mapping[str, RankedList],
     positives: Mapping[str, set[str]],
     cfg: MiningConfig,
-    sample_count: int,
+    samples: int,
 ) -> dict[str, list[str]]:
-    """Window each query's run on its own; a run too short for the window gives []."""
     out: dict[str, list[str]] = {}
     for qid in queries:
         if qid not in runs:
             raise MissingRun(qid)
-        try:
-            out[qid] = mine_window(
-                runs[qid],
-                set(positives.get(qid, ())),
-                discard_top=cfg.discard_top,
-                pool_size=cfg.pool_size,
-                sample_count=sample_count,
-                seed=derive_seed(cfg.seed, qid),
-            )
-        except EmptyRanking:
-            out[qid] = []
+        out[qid] = mine_window(runs[qid], set(positives.get(qid, ())), cfg.discard_top,
+                               cfg.pool_size, samples, derive_seed(cfg.seed, qid))
     return out
 
 
@@ -130,9 +117,10 @@ def mine_dense(
     runs: Mapping[str, RankedList],
     positives: Mapping[str, set[str]],
     cfg: MiningConfig,
+    samples: int = DENSE_SAMPLES,
 ) -> dict[str, list[str]]:
-    """Dense-retriever recipe: window (10, 100) and 25 samples per query."""
-    return _mine(queries, runs, positives, cfg, cfg.sample_count_dense)
+    """Dense-retriever recipe: window each query's run, 25 samples per query."""
+    return _mine(queries, runs, positives, cfg, samples)
 
 
 def mine_bm25(
@@ -140,11 +128,12 @@ def mine_bm25(
     index: BM25Index,
     positives: Mapping[str, set[str]],
     cfg: MiningConfig,
+    samples: int = BM25_SAMPLES,
 ) -> dict[str, list[str]]:
-    """BM25 recipe: retrieve to depth 110 internally, window (10, 100), 10 samples."""
+    """BM25 recipe: retrieve to `retrieve_depth` internally, window, 10 samples per query."""
     runs = {qid: search_bm25(index, text, index.tokenizer, k=cfg.retrieve_depth, query_id=qid)
             for qid, text in queries.items()}
-    return _mine(queries, runs, positives, cfg, cfg.sample_count_bm25)
+    return _mine(queries, runs, positives, cfg, samples)
 
 
 @dataclass
@@ -225,6 +214,8 @@ class NWayExample:
             raise ValueError("passage ids and scores must align")
         if len(set(self.passage_ids)) != len(self.passage_ids):
             raise ValueError("passage ids must be distinct")
+        if not all(map(math.isfinite, self.teacher_scores)):
+            raise ValueError("teacher scores must be finite")
 
     @property
     def n(self) -> int:
@@ -277,6 +268,51 @@ def build_nway(
     return NWayExample(query_id=query_id, passage_ids=passage_ids, teacher_scores=teacher_scores)
 
 
+def assemble_nway(rows: Iterable[Mapping], table: TeacherScoreTable, n: int = DEFAULT_NWAY,
+                  keep_set: frozenset[str] | set[str] = frozenset(), seed: int = 0
+                  ) -> tuple[list[NWayExample], list[tuple[str, str]]]:
+    """N-way examples from negatives rows, and (query id, reason) for each skip.
+
+    Rows merge per query: positives once each in first-seen order, negatives
+    concatenated in row order.  The first positive is used and the others are
+    never candidates.  A query without a positive or its teacher score, or with
+    too few candidates, is skipped; so is each candidate without a score.
+    """
+    positives: dict[str, dict[str, None]] = {}
+    negatives: dict[str, list[str]] = {}
+    for row in rows:
+        positives.setdefault(row["qid"], {}).update(dict.fromkeys(row.get("positives") or []))
+        negatives.setdefault(row["qid"], []).extend(
+            did for key in NEGATIVE_KEYS for did in row.get(key) or [])
+
+    examples: list[NWayExample] = []
+    skipped: list[tuple[str, str]] = []
+    for qid, known_positives in positives.items():
+        if not known_positives:
+            skipped.append((qid, "no positive"))
+            continue
+        positive = next(iter(known_positives))
+        pos_score = table.get(qid, positive)
+        if pos_score is None:
+            skipped.append((qid, f"no teacher score for positive {positive}"))
+            continue
+        candidates = []
+        for did in negatives[qid]:
+            if did in known_positives:
+                continue
+            score = table.get(qid, did)
+            if score is None:
+                skipped.append((qid, f"no teacher score for candidate {did}"))
+                continue
+            candidates.append((did, score))
+        try:
+            examples.append(build_nway(qid, positive, pos_score, candidates,
+                                       n=n, keep_set=keep_set, seed=seed))
+        except (InsufficientCandidates, MissingTeacherScore) as exc:
+            skipped.append((qid, str(exc)))
+    return examples, skipped
+
+
 def write_nway_jsonl(path: str | Path, examples: Iterable[NWayExample]) -> int:
     return write_jsonl(path, ({"qid": ex.query_id, "passages": ex.passage_ids,
                                "scores": ex.teacher_scores} for ex in examples))
@@ -314,3 +350,11 @@ def read_negatives_jsonl(path: str | Path) -> list[dict]:
                 raise ParseError(f"{key!r} must be a list of ids", lineno)
         out.append(row)
     return out
+
+
+def write_negatives_jsonl(path: str | Path, kind: str, negatives: Mapping[str, list[str]],
+                          positives: Mapping[str, set[str]], seed: int) -> int:
+    """One row per mined query: {qid, positives (sorted), <kind>_negatives, seed}."""
+    return write_jsonl(path, ({"qid": qid, "positives": sorted(positives.get(qid, ())),
+                               f"{kind}_negatives": negs, "seed": seed}
+                              for qid, negs in negatives.items()))

@@ -1,10 +1,14 @@
 """CLI: each subcommand, config-file resolution, manifests, determinism."""
 
+import contextlib
+import io
 import json
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lateir
 from lateir.cli import COMMANDS, main, run_pipeline
@@ -337,6 +341,21 @@ class TestScore:
         assert (qid, did) == ("q0", "d00")
         assert float(score) > 0
 
+    def test_repeated_pair_scored_once_and_transposes(self, workspace):
+        _ingest_both(workspace)
+        pairs = workspace / "pairs.tsv"
+        pairs.write_text("q0\td00\nq1\td05\nq0\td00\n")
+        english = workspace / "english.tsv"
+        run_ok(["score", "--query-store", str(workspace / "qstore"),
+                "--doc-store", str(workspace / "docstore"), "--pairs", str(pairs),
+                "--out", str(english)])
+        assert [line.split("\t")[:2] for line in english.read_text().splitlines()] == [
+            ["q0", "d00"], ["q1", "d05"]]
+        out = workspace / "scores.tsv"
+        run_ok(["transpose", "--scores", str(english), "--pairs", str(pairs),
+                "--out", str(out), "--dropped", str(workspace / "dropped.tsv")])
+        assert out.read_text() == english.read_text()
+
     def test_unknown_pair_id(self, workspace):
         _ingest_both(workspace)
         pairs = workspace / "pairs.tsv"
@@ -547,6 +566,75 @@ class TestMiningCli:
         for name, key in (("dense.jsonl", "dense_negatives"), ("bm25neg.jsonl", "bm25_negatives")):
             rows = [json.loads(line) for line in (workspace / name).read_text().splitlines()]
             assert len(rows) == 6 and all(len(row[key]) <= 5 for row in rows)
+
+    @pytest.mark.parametrize("kind", ["dense", "bm25"])
+    @pytest.mark.parametrize("window", [
+        ["--discard-top", "-3"],
+        ["--retrieve-depth", "-2", "--discard-top", "-5", "--samples", "2"],
+        ["--retrieve-depth", "30", "--discard-top", "30"],
+        ["--samples", "-1"],
+        ["--retrieve-depth", "30", "--discard-top", "25", "--samples", "6"],
+    ])
+    def test_bad_window_rejected(self, workspace, capsys, kind, window):
+        if kind == "dense":
+            run = workspace / "deep.trec"
+            run.write_text("".join(f"q{i} Q0 d{r:02d} {r} {40 - r} t\n"
+                                   for i in range(6) for r in range(1, 31)))
+            source = ["--runs", str(run)]
+        else:
+            run_ok(["bm25", "build", "--corpus", str(workspace / "corpus.jsonl"),
+                    "--out", str(workspace / "bm25-idx")])
+            source = ["--index", str(workspace / "bm25-idx"),
+                      "--queries", str(workspace / "queries.jsonl")]
+        capsys.readouterr()
+        out = workspace / "negatives.jsonl"
+        assert main(["mine", kind, *source, "--positives", str(workspace / "qrels.txt"),
+                     "--out", str(out), *window]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists() and not (workspace / "negatives.jsonl.manifest.json").exists()
+
+
+@pytest.fixture(scope="module")
+def ten_deep_run(tmp_path_factory):
+    """Three queries ranking d01..d10 at ranks 1..10, each with d02 as its positive."""
+    root = tmp_path_factory.mktemp("mining")
+    run, qrels = root / "run.trec", root / "qrels.txt"
+    run.write_text("".join(f"q{i} Q0 d{r:02d} {r} {20 - r} t\n" for i in range(3)
+                           for r in range(1, 11)))
+    qrels.write_text("".join(f"q{i} 0 d02 1\n" for i in range(3)))
+    return run, qrels
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(-3, 12), st.integers(-3, 12), st.integers(-3, 12))
+@example(12, 0, 12)  # deeper than the run, whole window asked for
+@example(10, 9, 1)
+@example(4, 2, 0)
+def test_mine_dense_samples_inside_the_window_or_exits_2(ten_deep_run, depth, discard, samples):
+    run, qrels = ten_deep_run
+    out = run.parent / "negatives.jsonl"
+    manifest = run.parent / "negatives.jsonl.manifest.json"
+    out.unlink(missing_ok=True)
+    manifest.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["mine", "dense", "--runs", str(run), "--positives", str(qrels),
+                     "--out", str(out), "--retrieve-depth", str(depth),
+                     "--discard-top", str(discard), "--samples", str(samples)])
+    valid = 0 <= discard < depth and 0 <= samples <= depth - discard
+    assert code == (0 if valid else 2)
+    if not valid:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists() and not manifest.exists()
+        return
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [row["qid"] for row in rows] == ["q0", "q1", "q2"]
+    for row in rows:
+        ranks = [int(doc_id[1:]) for doc_id in row["dense_negatives"]]
+        assert len(ranks) <= samples and all(discard < r <= depth for r in ranks)
+        assert 2 not in ranks and len(set(ranks)) == len(ranks)
 
 
 class TestManifests:

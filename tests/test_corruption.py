@@ -427,8 +427,8 @@ TEXT_FILES = {
              '{{"qid": "q{i}", "passages": ["d{i}", "x{i}"], "scores": [1.0, 0.{i}]}}'),
 }
 # invalid JSON; a line that is not an object; a missing or mistyped field;
-# a wrong field count; a non-numeric rank, grade or score; a non-finite run or
-# teacher score; a grade outside [0, 1023]; a repeated teacher-score pair
+# a wrong field count; a non-numeric rank, grade or score; a non-finite run,
+# teacher or n-way score; a grade outside [0, 1023]; a repeated teacher-score pair
 NOT_OBJECTS = ["[1, 2]", '"q1"', "3.5"]
 BAD_LINES = {
     "corpus": ['{"id": "x", "text": ', *NOT_OBJECTS, '{"id": "x"}', '{"text": "t"}'],
@@ -449,6 +449,9 @@ BAD_LINES = {
         '{"qid": "q9", "passages": "ab", "scores": [1, 2]}',
         '{"qid": "q9", "passages": ["a", "b"], "scores": [1.0, "high"]}',
         '{"qid": "q9", "passages": ["a", "a"], "scores": [1.0, 2.0]}',
+        '{"qid": "q9", "passages": ["a", "b"], "scores": [1.0, NaN]}',
+        '{"qid": "q9", "passages": ["a", "b"], "scores": [Infinity, 1.0]}',
+        '{"qid": "q9", "passages": ["a", "b"], "scores": [1.0, "-inf"]}',
     ],
 }
 

@@ -3,24 +3,23 @@
 import pytest
 
 from lateir.bm25 import Tokenizer, build_bm25
-from lateir.errors import (
-    EmptyRanking,
-    InsufficientCandidates,
-    MissingRun,
-    MissingTeacherScore,
-    ParseError,
-)
+from lateir.errors import InsufficientCandidates, MissingRun, MissingTeacherScore, ParseError
 from lateir.mining import (
+    BM25_SAMPLES,
+    DENSE_SAMPLES,
     MiningConfig,
     NWayExample,
     TeacherScoreTable,
+    assemble_nway,
     build_nway,
     derive_seed,
     mine_bm25,
     mine_dense,
     mine_window,
+    read_negatives_jsonl,
     read_nway_jsonl,
     transpose_scores,
+    write_negatives_jsonl,
     write_nway_jsonl,
 )
 from lateir.ranking import RankedList
@@ -42,14 +41,19 @@ class TestMiningConfig:
     def test_defaults(self):
         cfg = MiningConfig()
         assert (cfg.retrieve_depth, cfg.discard_top) == (110, 10)
-        assert (cfg.sample_count_dense, cfg.sample_count_bm25) == (25, 10)
+        assert (DENSE_SAMPLES, BM25_SAMPLES) == (25, 10)
         assert cfg.pool_size == 100
 
     def test_validation(self):
         with pytest.raises(ValueError):
             MiningConfig(retrieve_depth=10, discard_top=10)
         with pytest.raises(ValueError):
-            MiningConfig(sample_count_dense=101)
+            mine_dense(["q1"], {"q1": ranking(110)}, {}, MiningConfig(), samples=101)
+
+    @pytest.mark.parametrize("depth, discard", [(30, -3), (-2, -5), (0, 0), (5, 6)])
+    def test_bad_window_rejected(self, depth, discard):
+        with pytest.raises(ValueError, match="need 0 <= discard_top < retrieve_depth"):
+            MiningConfig(retrieve_depth=depth, discard_top=discard)
 
 
 class TestMineWindow:
@@ -69,10 +73,8 @@ class TestMineWindow:
         assert got == ["r011", "r012"]
 
     def test_too_short_ranking(self):
-        with pytest.raises(EmptyRanking):
-            mine_window(ranking(10), set(), 10, 100, 25, seed=1)
-        with pytest.raises(EmptyRanking):
-            mine_window(RankedList("q"), set(), 10, 100, 25, seed=1)
+        assert mine_window(ranking(10), set(), 10, 100, 25, seed=1) == []
+        assert mine_window(RankedList("q"), set(), 10, 100, 25, seed=1) == []
 
     def test_positives_excluded_all_seeds(self):
         positives = {"r015"}
@@ -100,6 +102,18 @@ class TestMineWindow:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             mine_window(ranking(110), set(), 10, 100, 101, seed=0)
+
+    @pytest.mark.parametrize("discard, pool, samples, match", [
+        (-3, 100, 25, "discard_top -3 is negative"),
+        (10, 100, -1, r"sample count -1 outside \[0, 100\]"),
+        (10, -2, 0, r"sample count 0 outside \[0, -2\]"),
+    ])
+    def test_bad_window_rejected(self, discard, pool, samples, match):
+        with pytest.raises(ValueError, match=match):
+            mine_window(ranking(30), set(), discard, pool, samples, seed=1)
+
+    def test_zero_samples(self):
+        assert mine_window(ranking(110), set(), 10, 100, 0, seed=1) == []
 
 
 class TestMineDense:
@@ -306,7 +320,78 @@ class TestBuildNway:
         assert ex.n == 64
 
 
+class TestAssembleNway:
+    def _table(self, pairs):
+        table = TeacherScoreTable()
+        for i, (qid, did) in enumerate(pairs):
+            table.add(qid, did, float(i))
+        return table
+
+    def test_rows_merge_per_query_in_order(self):
+        rows = [
+            {"qid": "q", "positives": ["p1"], "dense_negatives": ["a", "p2", "b"]},
+            {"qid": "r", "positives": ["rp"], "negatives": ["w", "x", "y", "z"]},
+            {"qid": "q", "positives": ["p2", "p1"], "bm25_negatives": ["c", "a"],
+             "dense_negatives": ["d"]},
+        ]
+        table = self._table([("q", d) for d in ("p1", "p2", "a", "b", "c", "d")]
+                            + [("r", d) for d in ("rp", "w", "x", "y", "z")])
+        keep = frozenset("abcdwxyz")
+        examples, skipped = assemble_nway(rows, table, n=5, keep_set=keep)
+        assert skipped == []
+        assert [ex.query_id for ex in examples] == ["q", "r"]
+        # the first positive is used, the other positive is never a candidate, and
+        # candidates keep row order: dense before bm25 within a row
+        assert examples[0].passage_ids == ["p1", "a", "b", "d", "c"]
+        assert examples[0].teacher_scores == [0.0, 2.0, 3.0, 5.0, 4.0]
+
+    def test_skip_reasons_in_order(self):
+        rows = [
+            {"qid": "qa", "positives": [], "dense_negatives": ["a"]},
+            {"qid": "qb", "positives": ["pb"], "dense_negatives": ["a", "b"]},
+            {"qid": "qc", "positives": ["pc"], "dense_negatives": ["a", "x", "b", "c"]},
+            {"qid": "qd", "positives": ["pd"], "bm25_negatives": ["a", "a"]},
+        ]
+        table = self._table([("qb", "a"), ("qb", "b"), ("qc", "pc"), ("qc", "a"), ("qc", "b"),
+                             ("qc", "c"), ("qd", "pd"), ("qd", "a")])
+        examples, skipped = assemble_nway(rows, table, n=3)
+        assert skipped == [
+            ("qa", "no positive"),
+            ("qb", "no teacher score for positive pb"),
+            ("qc", "no teacher score for candidate x"),
+            ("qd", "query 'qd': 1 distinct candidates, need 2"),
+        ]
+        assert [ex.query_id for ex in examples] == ["qc"]
+        assert "x" not in examples[0].passage_ids
+
+    def test_keep_set_and_seed_reach_build_nway(self):
+        negatives = [f"c{i:02d}" for i in range(40)]
+        table = self._table([("q", d) for d in ["pos", *negatives]])
+        keep = {"c07", "c30"}
+        examples, _ = assemble_nway([{"qid": "q", "positives": ["pos"], "negatives": negatives}],
+                                    table, n=8, keep_set=keep, seed=5)
+        candidates = [(d, table.get("q", d)) for d in negatives]
+        assert examples == [build_nway("q", "pos", 0.0, candidates, n=8, keep_set=keep, seed=5)]
+        assert examples[0].passage_ids[1:3] == ["c07", "c30"]
+
+
+class TestNegativesJsonl:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "negatives.jsonl"
+        negatives = {"q2": ["d3", "d1"], "q1": []}
+        assert write_negatives_jsonl(path, "bm25", negatives, {"q2": {"d9", "d0"}}, 7) == 2
+        assert read_negatives_jsonl(path) == [
+            {"qid": "q2", "positives": ["d0", "d9"], "bm25_negatives": ["d3", "d1"], "seed": 7},
+            {"qid": "q1", "positives": [], "bm25_negatives": [], "seed": 7},
+        ]
+
+
 class TestNWayExample:
+    def test_non_finite_score_rejected(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                NWayExample("q", ["a", "b"], [1.0, bad])
+
     def test_validates_alignment(self):
         with pytest.raises(ValueError):
             NWayExample("q", ["a", "b"], [1.0])
